@@ -5,9 +5,11 @@
 //! fair-share weight. A *job* is one unit of served work — a single
 //! GEMM⁺ layer or a whole DNN stream — submitted with a priority, an
 //! optional deadline and a requested gang width. The [`JobQueue`] is the
-//! admission layer: a bounded buffer of pending jobs; when it is full the
-//! submission is rejected up front rather than growing latency unboundedly.
+//! admission layer: a bounded, policy-ordered ready queue of pending jobs;
+//! when it is full the submission is rejected up front rather than growing
+//! latency unboundedly.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use maco_core::gemm_plus::GemmPlusTask;
@@ -16,6 +18,8 @@ use maco_isa::Asid;
 use maco_sim::{SimDuration, SimTime};
 use maco_workloads::dnn::EpilogueClass;
 use maco_workloads::trace::TraceRequest;
+
+use crate::sched::{Policy, ReadyKey};
 
 /// One process sharing the serving machine.
 #[derive(Debug, Clone)]
@@ -184,25 +188,56 @@ pub fn validate_spec(tenant_count: usize, spec: &JobSpec) -> Result<(), Admissio
     Ok(())
 }
 
-/// The bounded admission queue of pending (admitted, not yet scheduled)
-/// jobs, in admission order.
+/// The scheduling-relevant view of one queued job.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct QueuedJob {
+    /// The job's id, unique within the queue.
+    pub id: JobId,
+    /// Submitting tenant.
+    pub tenant: usize,
+    /// Arrival time on the simulated clock.
+    pub arrival: SimTime,
+    /// Scheduling priority (higher is more urgent).
+    pub priority: u8,
+    /// Total GEMM flops (the SJF rank).
+    pub flops: u64,
+    /// Effective gang width: the free nodes the job needs to start.
+    pub width: usize,
+}
+
+/// The bounded, policy-ordered ready queue of pending (admitted, not yet
+/// scheduled) jobs.
+///
+/// Jobs sit in one ordered set per gang-width class (per width and tenant
+/// under [`Policy::FairShare`]), keyed as the [`crate::sched`] module docs
+/// describe, so [`JobQueue::pick`] returns the policy's best fitting job
+/// without scanning the backlog. Admission and removal are O(log n).
 #[derive(Debug, Clone)]
 pub struct JobQueue {
     capacity: usize,
-    pending: Vec<JobId>,
+    policy: Policy,
+    /// Every queued job by id: the admission-order view and the index that
+    /// finds a job's set entry on removal.
+    jobs: BTreeMap<JobId, QueuedJob>,
+    /// `ready[width - 1][policy.lane(tenant)]`: the policy-ordered keys of
+    /// the queued jobs of that width (and tenant, under FairShare).
+    ready: Vec<Vec<BTreeSet<ReadyKey>>>,
 }
 
 impl JobQueue {
-    /// A queue admitting at most `capacity` pending jobs.
+    /// A queue ordered by `policy`, admitting at most `capacity` pending
+    /// jobs.
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
+    pub fn new(policy: Policy, capacity: usize) -> Self {
         assert!(capacity >= 1, "queue needs capacity");
         JobQueue {
             capacity,
-            pending: Vec::new(),
+            policy,
+            jobs: BTreeMap::new(),
+            ready: Vec::new(),
         }
     }
 
@@ -211,32 +246,79 @@ impl JobQueue {
     /// # Errors
     ///
     /// Returns [`AdmissionError::QueueFull`] at capacity.
-    pub fn admit(&mut self, id: JobId) -> Result<(), AdmissionError> {
-        if self.pending.len() == self.capacity {
+    ///
+    /// # Panics
+    ///
+    /// Panics on a zero gang width or an id already in the queue.
+    pub fn admit(&mut self, job: QueuedJob) -> Result<(), AdmissionError> {
+        assert!(job.width >= 1, "gangs have at least one member");
+        if self.jobs.len() == self.capacity {
             return Err(AdmissionError::QueueFull);
         }
-        self.pending.push(id);
+        assert!(
+            self.jobs.insert(job.id, job).is_none(),
+            "{} is already queued",
+            job.id
+        );
+        if self.ready.len() < job.width {
+            self.ready.resize_with(job.width, Vec::new);
+        }
+        let lanes = &mut self.ready[job.width - 1];
+        let lane = self.policy.lane(job.tenant);
+        if lanes.len() <= lane {
+            lanes.resize_with(lane + 1, BTreeSet::new);
+        }
+        lanes[lane].insert(self.policy.key(&job));
         Ok(())
     }
 
-    /// Removes a job that was scheduled (or cancelled).
-    pub fn remove(&mut self, id: JobId) {
-        self.pending.retain(|&p| p != id);
+    /// The job the policy starts next on `free` nodes: the best queued job
+    /// whose width fits (backfill), or `None` when nothing fits.
+    ///
+    /// `served[t]` is tenant `t`'s completed GEMM flops so far; `weights[t]`
+    /// its fair-share weight. Both are only read by [`Policy::FairShare`].
+    pub fn pick(&self, free: usize, served: &[u64], weights: &[u32]) -> Option<JobId> {
+        self.ready
+            .iter()
+            .take(free)
+            .flat_map(|lanes| {
+                lanes
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(lane, set)| set.first().map(|key| (lane, key)))
+            })
+            .min_by(|&a, &b| self.policy.cmp_heads(a, b, served, weights))
+            .map(|(_, key)| key.2)
     }
 
-    /// Pending jobs in admission order.
-    pub fn pending(&self) -> &[JobId] {
-        &self.pending
+    /// Removes a job that was scheduled (or cancelled); returns it, or
+    /// `None` when it was not queued.
+    pub fn remove(&mut self, id: JobId) -> Option<QueuedJob> {
+        let job = self.jobs.remove(&id)?;
+        self.ready[job.width - 1][self.policy.lane(job.tenant)].remove(&self.policy.key(&job));
+        Some(job)
+    }
+
+    /// Removes every queued job at once.
+    pub fn clear(&mut self) {
+        self.jobs.clear();
+        self.ready.clear();
+    }
+
+    /// Queued job ids in ascending order — admission order, as the engine
+    /// numbers jobs when it admits them. `len()` is O(1).
+    pub fn pending(&self) -> impl ExactSizeIterator<Item = JobId> + '_ {
+        self.jobs.keys().copied()
     }
 
     /// Number of pending jobs.
     pub fn len(&self) -> usize {
-        self.pending.len()
+        self.jobs.len()
     }
 
     /// True when nothing is pending.
     pub fn is_empty(&self) -> bool {
-        self.pending.is_empty()
+        self.jobs.is_empty()
     }
 }
 
@@ -245,16 +327,31 @@ mod tests {
     use super::*;
     use maco_isa::Precision;
 
+    fn queued(id: u64) -> QueuedJob {
+        QueuedJob {
+            id: JobId(id),
+            tenant: 0,
+            arrival: SimTime::ZERO,
+            priority: 0,
+            flops: 1,
+            width: 1,
+        }
+    }
+
     #[test]
     fn queue_bounds_admission() {
-        let mut q = JobQueue::new(2);
-        q.admit(JobId(0)).unwrap();
-        q.admit(JobId(1)).unwrap();
-        assert_eq!(q.admit(JobId(2)), Err(AdmissionError::QueueFull));
-        q.remove(JobId(0));
+        let mut q = JobQueue::new(Policy::Fifo, 2);
+        q.admit(queued(0)).unwrap();
+        q.admit(queued(1)).unwrap();
+        assert_eq!(q.admit(queued(2)), Err(AdmissionError::QueueFull));
+        assert_eq!(q.remove(JobId(0)), Some(queued(0)));
+        assert_eq!(q.remove(JobId(0)), None);
         assert_eq!(q.len(), 1);
-        q.admit(JobId(2)).unwrap();
-        assert_eq!(q.pending(), &[JobId(1), JobId(2)]);
+        q.admit(queued(2)).unwrap();
+        assert_eq!(q.pending().collect::<Vec<_>>(), [JobId(1), JobId(2)]);
+        q.clear();
+        assert!(q.is_empty());
+        assert_eq!(q.pick(1, &[0], &[1]), None);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!
 //! * [`job`] — tenants (one [`maco_isa::Asid`] each), job specifications
 //!   (single GEMM⁺ layers or whole DNN streams, with priorities and
-//!   deadlines) and the bounded admission [`JobQueue`].
+//!   deadlines) and the bounded, policy-ordered ready [`JobQueue`].
 //! * [`sched`] — gang-scheduling policies ([`Policy::Fifo`],
 //!   [`Policy::Sjf`], [`Policy::FairShare`]): jobs get disjoint node
 //!   groups, large GEMMs are partitioned across their group per
@@ -56,7 +56,7 @@ pub mod report;
 pub mod sched;
 pub mod server;
 
-pub use job::{validate_spec, AdmissionError, JobId, JobQueue, JobSpec, Tenant};
+pub use job::{validate_spec, AdmissionError, JobId, JobQueue, JobSpec, QueuedJob, Tenant};
 pub use replica::{run_replicas, ReplicaOutcome};
 pub use report::{NodeLease, ServeReport, TenantReport};
 pub use sched::Policy;

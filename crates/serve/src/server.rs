@@ -36,10 +36,19 @@
 //!   *outside* the heap (pop → step batch → reinsert), so no decrease-key
 //!   operation is needed and a plain binary heap suffices.
 //!
-//! Per-event cost is therefore O(log n) in the number of pending arrivals
-//! plus in-flight members — flat enough to stream 10⁵-request traces (the
-//! `serve_throughput_100k` perf scenario) with near-linear wall clock in
-//! trace length.
+//! Admitted jobs wait in the **ready queue**, the policy-ordered
+//! [`JobQueue`]: ordered sets per gang-width class, keyed
+//! `(−priority, arrival, id)` under FIFO and `(flops, arrival, id)` under
+//! SJF, and per `(width, tenant)` keyed `(arrival, id)` under FairShare
+//! (see the [`crate::sched`] module docs). A scheduling attempt compares
+//! the heads of the width classes that fit the free nodes instead of
+//! scanning the backlog; admission and dispatch touch one set entry each,
+//! and eviction clears the queue in one pass.
+//!
+//! Per-event cost is therefore O(log n) in the number of pending arrivals,
+//! queued jobs and in-flight members (plus O(tenants × widths) per
+//! FairShare pick) — flat enough to stream 10⁵-request traces and deep
+//! backlogs with near-linear wall clock in trace length.
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
@@ -52,9 +61,9 @@ use maco_sim::time::FS_PER_NS;
 use maco_sim::{SimDuration, SimTime};
 use maco_telemetry::{Log2Histogram, TraceSink, SCHED_ROW};
 
-use crate::job::{validate_spec, AdmissionError, JobId, JobQueue, JobSpec, Tenant};
+use crate::job::{validate_spec, AdmissionError, JobId, JobQueue, JobSpec, QueuedJob, Tenant};
 use crate::report::{fold_fingerprint, NodeLease, ServeReport, TenantReport};
-use crate::sched::{select, Candidate, Policy};
+use crate::sched::Policy;
 
 /// Serving-layer configuration.
 #[derive(Debug, Clone)]
@@ -285,9 +294,7 @@ impl Ord for ActiveTask {
 /// Per-job episode state.
 struct Job {
     spec: JobSpec,
-    /// Effective gang width (requested, clamped to machine and config).
-    width: usize,
-    /// Cached total flops (SJF key).
+    /// Cached total flops (reported in the job's outcome).
     flops_total: u64,
     group: Vec<usize>,
     layer: usize,
@@ -360,7 +367,8 @@ pub struct EvictedJob {
 /// Internally the engine is the O(log n) event core described in the
 /// [module docs](crate::server): a pending-arrival heap, a single armed
 /// wake instant and an in-flight member heap, merged in
-/// arrival < wake < task-step order on equal times.
+/// arrival < wake < task-step order on equal times, plus the
+/// policy-ordered ready queue of admitted jobs.
 ///
 /// ```
 /// use maco_core::system::{MacoSystem, SystemConfig};
@@ -411,8 +419,6 @@ pub struct Engine {
     /// the simulated future (completions are processed in event order, so
     /// such nodes exist): the scheduler retries at this instant.
     wake: Option<SimTime>,
-    /// Reusable scheduling-candidate buffer (no per-event allocation).
-    cand_buf: Vec<Candidate>,
     /// Reusable gang-partition shape buffer (no per-layer allocation).
     shape_buf: Vec<(u64, u64, u64)>,
     fingerprint: u64,
@@ -468,14 +474,13 @@ impl Engine {
             push_seq: 0,
             arrival_floor: SimTime::ZERO,
             pool: NodePool::new(nodes),
-            queue: JobQueue::new(config.queue_capacity),
+            queue: JobQueue::new(config.policy, config.queue_capacity),
             jobs: Vec::new(),
             active: BinaryHeap::new(),
             served: vec![0; tenants.len()],
             stats,
             leases: Vec::new(),
             wake: None,
-            cand_buf: Vec::new(),
             shape_buf: Vec::new(),
             fingerprint: 0,
             seq: 0,
@@ -679,9 +684,7 @@ impl Engine {
     pub fn evict_all(&mut self, now: SimTime) -> Vec<EvictedJob> {
         self.active.clear();
         self.wake = None;
-        for id in self.queue.pending().to_vec() {
-            self.queue.remove(id);
-        }
+        self.queue.clear();
         let mut evicted = Vec::new();
         for ji in 0..self.jobs.len() {
             let (lease_range, group) = {
@@ -767,8 +770,10 @@ impl Engine {
             .collect()
     }
 
-    /// Ids of admitted jobs waiting in the queue, in admission order.
-    pub fn queued_jobs(&self) -> &[JobId] {
+    /// Ids of admitted jobs waiting in the queue, in admission order —
+    /// which is ascending [`JobId`], since ids are assigned at admission.
+    /// The view borrows the queue: `len()` is O(1) and nothing allocates.
+    pub fn queued_jobs(&self) -> impl ExactSizeIterator<Item = JobId> + '_ {
         self.queue.pending()
     }
 
@@ -803,7 +808,19 @@ impl Engine {
             return;
         }
         let id = JobId(self.jobs.len() as u64);
-        match self.queue.admit(id) {
+        let width = spec
+            .gang_width
+            .clamp(1, self.config.max_gang.min(self.pool.capacity()));
+        let flops_total = spec.flops();
+        let queued = QueuedJob {
+            id,
+            tenant: spec.tenant,
+            arrival: spec.arrival,
+            priority: spec.priority,
+            flops: flops_total,
+            width,
+        };
+        match self.queue.admit(queued) {
             Ok(()) => {
                 self.sink.instant(
                     "job/admit",
@@ -813,13 +830,9 @@ impl Engine {
                     id.0,
                     spec.tenant as u32,
                 );
-                self.queue_hist.record(self.queue.pending().len() as u64);
-                let width = spec
-                    .gang_width
-                    .clamp(1, self.config.max_gang.min(self.pool.capacity()));
+                self.queue_hist.record(self.queue.len() as u64);
                 self.jobs.push(Job {
-                    width,
-                    flops_total: spec.flops(),
+                    flops_total,
                     spec,
                     group: Vec::new(),
                     layer: 0,
@@ -876,41 +889,15 @@ impl Engine {
         Ok(())
     }
 
-    /// Starts pending jobs while the policy finds one whose gang fits the
-    /// free nodes (backfilling).
+    /// Starts pending jobs while the ready queue holds one whose gang fits
+    /// the free nodes (backfilling).
     fn try_schedule(&mut self, system: &mut MacoSystem, now: SimTime) -> Result<(), ServeError> {
         loop {
             if self.queue.is_empty() {
                 return Ok(());
             }
             let free = self.pool.free_count(now);
-            let pick = if free == 0 {
-                None
-            } else {
-                let mut candidates = std::mem::take(&mut self.cand_buf);
-                candidates.clear();
-                candidates.extend(self.queue.pending().iter().map(|&JobId(id)| {
-                    let j = &self.jobs[id as usize];
-                    Candidate {
-                        id,
-                        tenant: j.spec.tenant,
-                        arrival: j.spec.arrival,
-                        priority: j.spec.priority,
-                        flops: j.flops_total,
-                        width: j.width,
-                    }
-                }));
-                let pick = select(
-                    self.config.policy,
-                    &candidates,
-                    free,
-                    &self.served,
-                    &self.weights,
-                );
-                self.cand_buf = candidates;
-                pick
-            };
-            let Some(pick) = pick else {
+            let Some(id) = self.queue.pick(free, &self.served, &self.weights) else {
                 // Blocked on nodes that free later on the simulated clock
                 // (their completions were processed ahead of `now` in
                 // event order): arm the retry wake-up.
@@ -919,13 +906,13 @@ impl Engine {
                 }
                 return Ok(());
             };
-            let ji = pick as usize;
+            let queued = self.queue.remove(id).expect("picked from the queue");
             let group = self
                 .pool
-                .allocate(self.jobs[ji].width, now)
-                .expect("select checked the fit");
-            self.queue.remove(JobId(pick));
-            let tenant = self.jobs[ji].spec.tenant;
+                .allocate(queued.width, now)
+                .expect("pick checked the fit");
+            let (pick, tenant) = (id.0, queued.tenant);
+            let ji = pick as usize;
             self.sink.instant(
                 "job/dispatch",
                 self.track,

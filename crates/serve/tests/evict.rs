@@ -15,7 +15,7 @@ use proptest::prelude::*;
 use maco_core::gemm_plus::GemmPlusTask;
 use maco_core::system::{MacoSystem, SystemConfig};
 use maco_isa::Precision;
-use maco_serve::{Engine, EvictedJob, JobSpec, ServeConfig, Tenant};
+use maco_serve::{Engine, EvictedJob, JobSpec, Policy, ServeConfig, Tenant};
 use maco_sim::{SimDuration, SimTime};
 
 fn small_system(nodes: usize) -> MacoSystem {
@@ -73,12 +73,12 @@ fn run_to_completion(nodes: usize, tenants: &[Tenant], specs: &[JobSpec]) -> (u6
 fn step_to(
     nodes: usize,
     tenants: &[Tenant],
+    config: &ServeConfig,
     specs: &[JobSpec],
     cut: SimTime,
 ) -> (Engine, MacoSystem) {
-    let config = ServeConfig::default();
     let mut system = small_system(nodes);
-    let mut engine = Engine::new(nodes, tenants, &config);
+    let mut engine = Engine::new(nodes, tenants, config);
     for spec in specs {
         engine.push(spec.clone());
     }
@@ -114,6 +114,7 @@ proptest! {
     ) {
         let nodes = 3;
         let tenants = Tenant::fleet(4);
+        let config = ServeConfig::default();
         let specs = jobs_of(&raw, tenants.len());
         let (full_completed, full_flops) = run_to_completion(nodes, &tenants, &specs);
         let makespan = specs
@@ -127,13 +128,13 @@ proptest! {
         let cut = SimTime::ZERO + makespan * cut_num / 4 + SimDuration::from_ns(50);
 
         // Reference: stepped to `cut`, introspected without evicting.
-        let (reference, _ref_system) = step_to(nodes, &tenants, &specs, cut);
+        let (reference, _ref_system) = step_to(nodes, &tenants, &config, &specs, cut);
         let running = reference.running_jobs();
-        let queued = reference.queued_jobs().to_vec();
+        let queued: Vec<_> = reference.queued_jobs().collect();
         let served_at_cut = reference.flops_served();
 
         // Subject: stepped identically, then evicted.
-        let (mut subject, subject_system) = step_to(nodes, &tenants, &specs, cut);
+        let (mut subject, subject_system) = step_to(nodes, &tenants, &config, &specs, cut);
         prop_assert_eq!(subject.flops_served(), served_at_cut);
         let evicted = subject.evict_all(cut);
         prop_assert_eq!(subject.next_event(), None, "evicted engine is drained");
@@ -189,11 +190,52 @@ proptest! {
 
         // Eviction is deterministic: a third identically-stepped engine
         // evicts a field-identical vector.
-        let (mut again, _sys) = step_to(nodes, &tenants, &specs, cut);
+        let (mut again, _sys) = step_to(nodes, &tenants, &config, &specs, cut);
         let evicted_again = again.evict_all(cut);
         let lhs: Vec<_> = evicted.iter().map(key_of).collect();
         let rhs: Vec<_> = evicted_again.iter().map(key_of).collect();
         prop_assert_eq!(lhs, rhs);
+    }
+}
+
+/// A deep backlog — thousands of queued jobs — evicts in one drain, and
+/// the evicted queued set comes out in exactly the stepped reference's
+/// `queued_jobs()` order under every policy.
+#[test]
+fn deep_queue_evicts_in_reference_order() {
+    let nodes = 2;
+    let jobs = 3_000;
+    let tenants = Tenant::fleet(4);
+    let specs: Vec<JobSpec> = (0..jobs)
+        .map(|i| JobSpec {
+            priority: (i % 3) as u8,
+            gang_width: 1 + i % 2,
+            ..JobSpec::single(
+                i % tenants.len(),
+                GemmPlusTask::gemm(16, 16 * (1 + i as u64 % 3), 16, Precision::Fp32),
+                SimTime::ZERO + SimDuration::from_ns(i as u64),
+            )
+        })
+        .collect();
+    let cut = SimTime::ZERO + SimDuration::from_ns(jobs as u64);
+    for policy in Policy::ALL {
+        let config = ServeConfig {
+            queue_capacity: jobs,
+            ..ServeConfig::with_policy(policy)
+        };
+        let (reference, _) = step_to(nodes, &tenants, &config, &specs, cut);
+        let queued: Vec<_> = reference.queued_jobs().collect();
+        assert!(queued.len() >= jobs - 100, "{policy:?}: backlog is deep");
+        let (mut subject, _) = step_to(nodes, &tenants, &config, &specs, cut);
+        let evicted = subject.evict_all(cut);
+        assert_eq!(subject.next_event(), None, "evicted engine is drained");
+        assert_eq!(subject.queued_jobs().len(), 0);
+        let evicted_queued: Vec<_> = evicted
+            .iter()
+            .filter(|e| e.admitted && !e.was_running)
+            .map(|e| e.id)
+            .collect();
+        assert_eq!(evicted_queued, queued, "{policy:?}");
     }
 }
 
