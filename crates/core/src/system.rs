@@ -75,9 +75,12 @@ pub struct SystemConfig {
     /// runs the same independent GEMM — the exact page-stream simulation
     /// of a pass is performed once and its outcome (stream counters plus
     /// the resulting sTLB/walker state, retagged per ASID) transplanted to
-    /// the other nodes. Simulated results are bit-identical either way;
-    /// `false` forces every node to replay every stream (the equivalence
-    /// tests run both).
+    /// the other nodes. The mirror is cost-gated: only a pass whose exact
+    /// replay costs more host time than transplanting the whole sTLB (its
+    /// page touches weighed against the sTLB capacity) is recorded, so
+    /// small passes — one per serving job — are simply replayed.
+    /// Simulated results are bit-identical either way; `false` forces
+    /// every node to replay every stream (the equivalence tests run both).
     pub translation_mirror: bool,
     /// How logical node indices map onto mesh positions.
     /// [`TileOrder::Row`] (the default) reproduces the historical
@@ -226,6 +229,8 @@ pub struct MacoSystem {
     /// Cross-node translation mirror (see
     /// [`MacoSystem::translate_pass_mirrored`]).
     mirror: TranslationMirror,
+    /// Pass-translation work counters (`xlate.*` in the stats snapshot).
+    passes: PassCounters,
 }
 
 impl MacoSystem {
@@ -272,6 +277,7 @@ impl MacoSystem {
                 history: vec![Some(0); config.nodes],
                 cache: FxHashMap::default(),
             },
+            passes: PassCounters::default(),
             config,
         }
     }
@@ -307,6 +313,13 @@ impl MacoSystem {
     /// incarnations of one machine — merge by plain addition via
     /// [`Stats::merge`]. Reading the snapshot never perturbs simulation
     /// state.
+    ///
+    /// The `xlate.*` entries count block passes by how their translation
+    /// was obtained — replayed exactly, served from a run's memo, or
+    /// transplanted by the cross-node mirror — plus the sTLB snapshots the
+    /// mirror recorded. They measure host-side work only: mirror on and
+    /// off give different counts for bit-identical results, so they are
+    /// never folded into a fingerprint.
     pub fn stats_snapshot(&self) -> Stats {
         let mut s = Stats::new();
         let mut dtlb = (0u64, 0u64);
@@ -344,6 +357,10 @@ impl MacoSystem {
                 .map(|c| c.bandwidth().busy_time().as_fs() / maco_sim::time::FS_PER_NS)
                 .sum(),
         );
+        s.add("xlate.passes_exact", self.passes.exact);
+        s.add("xlate.passes_memo", self.passes.memo);
+        s.add("xlate.passes_mirrored", self.passes.mirrored);
+        s.add("xlate.mirror_snapshots", self.passes.snapshots);
         s
     }
 
@@ -691,9 +708,12 @@ impl MacoSystem {
             }
             let key = PassKey::of(&pass);
             let pass_tr = match run.memo.cached(key) {
-                Some(c) => c,
+                Some(c) => {
+                    self.passes.memo += 1;
+                    c
+                }
                 None => {
-                    let c = self.translate_pass_mirrored(run.node, &run.params, &pass)?;
+                    let c = self.translate_pass_mirrored(run, &pass)?;
                     run.memo.record(key, c);
                     c
                 }
@@ -916,6 +936,7 @@ impl MacoSystem {
         params: &GemmParams,
         pass: &BlockPass,
     ) -> Result<StreamTranslation, TranslateFault> {
+        self.passes.exact += 1;
         let prediction = self.config.prediction;
         let walk_read = self.config.walk_read;
         let state = &mut self.nodes[node];
@@ -954,16 +975,22 @@ impl MacoSystem {
     /// * **Fault poisoning.** A faulting pass mutates the MMU partially;
     ///   the node's history is poisoned (set to `None`) so it never
     ///   mirrors or seeds the cache again.
+    ///
+    /// The cost gate ([`mirror_pays`]) decides only which outcomes are
+    /// *recorded*; every exactly replayed pass still chains its node's
+    /// history, so none of the three invariants depends on it. A pass
+    /// too cheap to record can never find an entry, so its lookup is a
+    /// single missed hash probe and it is always replayed.
     fn translate_pass_mirrored(
         &mut self,
-        node: usize,
-        params: &GemmParams,
+        run: &GemmRun,
         pass: &BlockPass,
     ) -> Result<StreamTranslation, TranslateFault> {
+        let node = run.node;
         if !self.config.translation_mirror {
-            return self.translate_pass_for(node, params, pass);
+            return self.translate_pass_for(node, &run.params, pass);
         }
-        let sig = mirror_signature(params, pass);
+        let sig = mirror_signature(run.params_sig, pass);
         let history = self.mirror.history[node];
         if let Some(h) = history {
             if let Some(entry) = self.mirror.cache.get(&(h, sig)) {
@@ -976,23 +1003,26 @@ impl MacoSystem {
                 *stlb = entry.stlb.clone_retagged(state.asid);
                 *walker = entry.walker.clone();
                 self.mirror.history[node] = Some(history_after);
+                self.passes.mirrored += 1;
                 return Ok(counters);
             }
         }
-        match self.translate_pass_for(node, params, pass) {
+        match self.translate_pass_for(node, &run.params, pass) {
             Ok(counters) => {
                 if let Some(h) = history {
                     let history_after = chain_history(h, sig);
                     self.mirror.history[node] = Some(history_after);
-                    // Snapshots are recorded unconditionally (when multi-
-                    // node): a guard like "some other node currently shares
-                    // hash `h`" would be unsound to skip on — a node still
-                    // at an *ancestor* hash arrives at `h` later if it
-                    // follows the same pass sequence, and in near-lockstep
-                    // runs that is exactly when the entry gets hit. Dead
-                    // snapshots (diverged histories) cost a bounded TLB
-                    // clone each and are dropped by the cap below.
-                    if self.config.nodes > 1 {
+                    // Snapshots are recorded for every pass that pays for
+                    // its transplant, whether or not another node shares
+                    // hash `h` right now: a node still at an *ancestor*
+                    // hash arrives at `h` later if it follows the same
+                    // pass sequence, and in near-lockstep runs that is
+                    // exactly when the entry gets hit. Dead snapshots
+                    // (diverged histories) cost a bounded TLB clone each
+                    // and are dropped by the cap below.
+                    if self.config.nodes > 1
+                        && mirror_pays(counters.pages, self.config.cpu.l2_tlb_entries)
+                    {
                         // Bound the cache; clearing only costs re-simulation.
                         if self.mirror.cache.len() >= MIRROR_CACHE_CAP {
                             self.mirror.cache.clear();
@@ -1006,6 +1036,7 @@ impl MacoSystem {
                             history_after,
                         };
                         self.mirror.cache.insert((h, sig), entry);
+                        self.passes.snapshots += 1;
                     }
                 }
                 Ok(counters)
@@ -1021,11 +1052,41 @@ impl MacoSystem {
 /// Cap on retained mirror entries (each holds an sTLB snapshot).
 const MIRROR_CACHE_CAP: usize = 64;
 
-/// ASID-independent signature of one pass translation's inputs.
-fn mirror_signature(params: &GemmParams, pass: &BlockPass) -> u64 {
+/// Break-even of the mirror: the host cost of replaying one page touch
+/// exactly, in percent of the cost of transplanting one sTLB entry.
+///
+/// Measured by the `substrate` criterion benches on a 2-core Xeon host:
+/// `tlb/clone_retagged_1024` (a full sTLB) takes 16.0 µs, ~15.6 ns per
+/// entry, and `mmae/translate_pass_*` replays 24.6 ns per touch on a
+/// 1024³ FP64 pass (8.07 ms, 327,680 touches) and 26.8 ns on a 64³ FP32
+/// pass (0.43 µs, 16 touches). One touch therefore costs ~1.5 entries: on
+/// the default 1024-entry sTLB a pass pays for its snapshot from 683
+/// touches up. Charging the full capacity is an upper bound — a nearly
+/// empty sTLB still clones in 4.1 µs (`tlb/clone_retagged_1024_live16`)
+/// — so the gate errs towards replaying, which is never wrong.
+const MIRROR_TOUCH_COST_PCT: u64 = 150;
+
+/// Whether recording (and later transplanting) a pass outcome is cheaper
+/// than replaying it: its `touches` exact page touches weighed against a
+/// transplant of the whole `stlb_entries`-entry sTLB.
+fn mirror_pays(touches: u64, stlb_entries: usize) -> bool {
+    touches * MIRROR_TOUCH_COST_PCT >= stlb_entries as u64 * 100
+}
+
+/// Hash of a task's packed parameter block, the per-task half of
+/// [`mirror_signature`] (computed once per [`GemmRun`]).
+fn params_signature(params: &GemmParams) -> u64 {
     use std::hash::{Hash, Hasher};
     let mut h = maco_sim::FxHasher::default();
     params.pack().hash(&mut h);
+    h.finish()
+}
+
+/// ASID-independent signature of one pass translation's inputs.
+fn mirror_signature(params_sig: u64, pass: &BlockPass) -> u64 {
+    use std::hash::{Hash, Hasher};
+    let mut h = maco_sim::FxHasher::default();
+    params_sig.hash(&mut h);
     (
         pass.row0, pass.col0, pass.k0, pass.rows, pass.cols, pass.depth,
     )
@@ -1050,6 +1111,19 @@ struct TranslationMirror {
     history: Vec<Option<u64>>,
     /// `(history-before, pass signature)` → recorded outcome.
     cache: FxHashMap<(u64, u64), MirrorEntry>,
+}
+
+/// Pass-translation work counters; see [`MacoSystem::stats_snapshot`].
+#[derive(Default)]
+struct PassCounters {
+    /// Passes replayed page by page through a node's sTLB and walker.
+    exact: u64,
+    /// Passes served from a run's [`TranslationMemo`].
+    memo: u64,
+    /// Passes transplanted from another node by the mirror.
+    mirrored: u64,
+    /// sTLB/walker snapshots the mirror recorded.
+    snapshots: u64,
 }
 
 /// One recorded exact pass simulation.
@@ -1128,6 +1202,8 @@ struct GemmRun {
     node: usize,
     maid: u8,
     params: GemmParams,
+    /// [`params_signature`] of `params`.
+    params_sig: u64,
     passes: Vec<BlockPass>,
     tiles: Vec<Tile>,
     pass_idx: usize,
@@ -1170,6 +1246,7 @@ impl GemmRun {
             peak_gflops: config.mmae.peak_gflops(params.precision),
             memo: TranslationMemo::new(),
             sa_cycle_cache: None,
+            params_sig: params_signature(&params),
             params,
         }
     }
@@ -1312,11 +1389,25 @@ mod tests {
             }
         }
         for i in 0..nodes {
-            // The transplanted MMU state must be indistinguishable.
+            // The transplanted MMU state must be indistinguishable: sTLB
+            // counters, walker counters, and every entry in LRU order.
+            let mut m = mirrored.nodes[i].cpu.mmu().clone();
+            let mut p = plain.nodes[i].cpu.mmu().clone();
+            let (m_stlb, m_walker) = m.shared_parts_mut();
+            let (p_stlb, p_walker) = p.shared_parts_mut();
             assert_eq!(
-                mirrored.nodes[i].cpu.mmu().stlb_stats(),
-                plain.nodes[i].cpu.mmu().stlb_stats(),
-                "node {i} sTLB stats"
+                (m_stlb.hits(), m_stlb.misses(), m_stlb.evictions()),
+                (p_stlb.hits(), p_stlb.misses(), p_stlb.evictions()),
+                "node {i} sTLB counters"
+            );
+            assert_eq!(
+                (m_walker.walks(), m_walker.faults()),
+                (p_walker.walks(), p_walker.faults()),
+                "node {i} walker counters"
+            );
+            assert!(
+                m_stlb.iter_mru().eq(p_stlb.iter_mru()),
+                "node {i} sTLB contents in LRU order"
             );
         }
     }
@@ -1358,6 +1449,36 @@ mod tests {
                     .unwrap(),
             ]
         });
+    }
+
+    #[test]
+    fn mirror_cost_gate_weighs_touches_against_the_stlb() {
+        // Micro passes (16 touches) replay; the 1024-entry sTLB breaks
+        // even at 683 touches; full 1024³ FP64 passes are recorded.
+        assert!(!mirror_pays(16, 1024));
+        assert!(!mirror_pays(682, 1024));
+        assert!(mirror_pays(683, 1024));
+        assert!(mirror_pays(327_680, 1024));
+    }
+
+    #[test]
+    fn lockstep_nodes_still_transplant_large_passes() {
+        // 2048³ FP64 is 8 passes of two shapes per node; each shape is
+        // replayed twice before the run's memo serves it. Every replayed
+        // pass is far past the break-even, so node 0 replays and records
+        // each one and the other 15 nodes transplant it.
+        let mut sys = MacoSystem::new(small_config(16));
+        sys.run_parallel_gemm(2048, 2048, 2048, Precision::Fp64)
+            .unwrap();
+        let stats = sys.stats_snapshot();
+        let counts = [
+            "xlate.passes_exact",
+            "xlate.passes_memo",
+            "xlate.passes_mirrored",
+            "xlate.mirror_snapshots",
+        ]
+        .map(|key| stats.get(key));
+        assert_eq!(counts, [4, 64, 60, 4]);
     }
 
     #[test]

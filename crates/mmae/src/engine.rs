@@ -25,7 +25,7 @@ use crate::buffers::BufferPlan;
 use crate::config::MmaeConfig;
 use crate::kernels::{matmul_into, GemmOperands, GemmScratch};
 use crate::systolic::SystolicArray;
-use crate::tiling::{block_passes, tiles_in_pass, tiles_into, BlockPass, Tile};
+use crate::tiling::{block_passes, pass_tiles, tiles_into, BlockPass, Tile};
 use crate::translate::{PassKey, StreamTranslation, TranslationContext, TranslationMemo};
 
 /// Fixed cost of accepting a task from the CPU (MA_CFG micro-ops, STQ
@@ -221,7 +221,7 @@ impl Mmae {
 
     /// Exact translation of every tile transfer in one block pass —
     /// public so the full-system simulator in `maco-core` can drive the
-    /// same page streams while owning the event loop.
+    /// same page streams while owning the event loop. Allocation-free.
     pub fn translate_pass(
         &self,
         params: &GemmParams,
@@ -231,7 +231,7 @@ impl Mmae {
         let t = &self.config.tiling;
         let e = params.elem_bytes();
         let mut total = StreamTranslation::default();
-        for tile in tiles_in_pass(pass, t) {
+        for tile in pass_tiles(pass, t) {
             // A sub-block: tile.rows rows spanning the pass's k extent.
             let a = TileAccessPattern::new(
                 VirtAddr::new(params.a_addr + (tile.row0 * params.lda + pass.k0) * e),

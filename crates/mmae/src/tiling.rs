@@ -86,9 +86,7 @@ pub fn block_passes(m: u64, n: u64, k: u64, t: &TilingConfig) -> Vec<BlockPass> 
 /// (B tiles are reused across the inner `it` sweep, matching the
 /// input-stationary dataflow).
 pub fn tiles_in_pass(pass: &BlockPass, t: &TilingConfig) -> Vec<Tile> {
-    let mut tiles = Vec::new();
-    tiles_into(pass, t, &mut tiles);
-    tiles
+    pass_tiles(pass, t).collect()
 }
 
 /// [`tiles_in_pass`] into a reusable buffer: the simulation hot loop calls
@@ -96,18 +94,25 @@ pub fn tiles_in_pass(pass: &BlockPass, t: &TilingConfig) -> Vec<Tile> {
 /// walks allocate nothing.
 pub fn tiles_into(pass: &BlockPass, t: &TilingConfig, tiles: &mut Vec<Tile>) {
     tiles.clear();
-    for jt in 0..pass.cols.div_ceil(t.ttc) {
-        for it in 0..pass.rows.div_ceil(t.ttr) {
+    tiles.extend(pass_tiles(pass, t));
+}
+
+/// The tiles of [`tiles_in_pass`], in the same order, without
+/// materialising them: walks that visit each tile once allocate nothing.
+pub fn pass_tiles(pass: &BlockPass, t: &TilingConfig) -> impl Iterator<Item = Tile> {
+    let (pass, t) = (*pass, *t);
+    (0..pass.cols.div_ceil(t.ttc)).flat_map(move |jt| {
+        (0..pass.rows.div_ceil(t.ttr)).map(move |it| {
             let row0 = pass.row0 + it * t.ttr;
             let col0 = pass.col0 + jt * t.ttc;
-            tiles.push(Tile {
+            Tile {
                 row0,
                 col0,
                 rows: (pass.row0 + pass.rows - row0).min(t.ttr),
                 cols: (pass.col0 + pass.cols - col0).min(t.ttc),
-            });
-        }
-    }
+            }
+        })
+    })
 }
 
 /// Total number of second-level tile steps in the whole GEMM — the event

@@ -84,13 +84,11 @@ impl TileAccessPattern {
         }
     }
 
-    /// The number of distinct pages touched (allocation-free upper bound
-    /// used to size mATLB prefetch batches).
+    /// The number of distinct pages touched, allocation-free. Rows never
+    /// overlap and ascend (`row_stride ≥ row_bytes`), so the predicted
+    /// sequence is strictly increasing and every page in it is distinct.
     pub fn distinct_page_count(&self) -> u64 {
-        let mut pages: Vec<u64> = self.predicted_pages().map(|va| va.page_number()).collect();
-        pages.sort_unstable();
-        pages.dedup();
-        pages.len() as u64
+        self.predicted_pages().count() as u64
     }
 }
 

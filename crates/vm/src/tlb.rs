@@ -233,6 +233,17 @@ impl Tlb {
         t
     }
 
+    /// Every live entry as `(asid, vpn, entry)`, most-recently-used first
+    /// — the full replacement state, for equivalence checks.
+    pub fn iter_mru(&self) -> impl Iterator<Item = (Asid, u64, TlbEntry)> + '_ {
+        let mut slot = self.head;
+        std::iter::from_fn(move || {
+            let s = self.slots.get(slot as usize)?;
+            slot = s.next;
+            Some((Asid::new(s.key.0), s.key.1, s.entry))
+        })
+    }
+
     /// Drops every entry belonging to `asid` (TLB shoot-down on address
     /// space teardown).
     pub fn invalidate_asid(&mut self, asid: Asid) {
@@ -443,6 +454,8 @@ mod tests {
         assert!(tlb.probe(asid(0), 3).is_some());
         assert!(tlb.probe(asid(0), 4).is_some());
         assert_eq!(tlb.evictions(), 1);
+        let mru: Vec<u64> = tlb.iter_mru().map(|(_, vpn, _)| vpn).collect();
+        assert_eq!(mru, vec![4, 1, 3]);
     }
 
     #[test]

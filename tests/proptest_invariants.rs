@@ -83,6 +83,27 @@ proptest! {
         prop_assert_eq!(predicted, brute);
     }
 
+    /// Non-overlapping ascending rows make the predicted page sequence
+    /// strictly increasing, so its length is the distinct-page count.
+    #[test]
+    fn predicted_pages_strictly_increase(
+        base in 0u64..0x10_0000,
+        rows in 1u64..64,
+        row_bytes in 1u64..20_000,
+        extra_stride in 0u64..20_000,
+    ) {
+        let pattern = TileAccessPattern::new(
+            VirtAddr::new(base),
+            rows,
+            row_bytes,
+            row_bytes + extra_stride,
+        );
+        let pages: Vec<u64> = pattern.predicted_pages().map(|p| p.page_number()).collect();
+        prop_assert!(pages.windows(2).all(|w| w[0] < w[1]), "{:?}", pages);
+        let distinct: std::collections::BTreeSet<u64> = pages.iter().copied().collect();
+        prop_assert_eq!(pattern.distinct_page_count(), distinct.len() as u64);
+    }
+
     /// X-Y routes are minimal and stay inside the mesh for every pair.
     #[test]
     fn xy_routes_minimal(sx in 0u8..4, sy in 0u8..4, dx in 0u8..4, dy in 0u8..4) {
