@@ -175,11 +175,10 @@ impl Cluster {
     ///
     /// Each machine's [`maco_serve::ServeConfig::queue_capacity`] must
     /// accommodate its routed backlog: a machine-level admission overflow
-    /// would desynchronise the fleet's job accounting, so capacities are
-    /// validated *before* the episode starts, and an undersized machine is a
-    /// clear, early panic naming the machine — never a mid-episode
-    /// accounting desync. (Re-placement cannot exceed the bound: a job
-    /// occupies one machine's queue at a time.)
+    /// would reject a routed job the fleet has already accepted, so
+    /// capacities are validated *before* the episode starts (see
+    /// `validate_capacity` for the bound), and an undersized machine is a
+    /// clear, early panic naming the machine — never a lost job.
     ///
     /// # Errors
     ///
@@ -408,29 +407,46 @@ impl Cluster {
     }
 
     /// Pre-flight admission-capacity check: every machine must be able to
-    /// hold the worst-case routed backlog, i.e. every admissible job in
-    /// the episode (placement is load-dependent, so LeastLoaded and
-    /// spilling TenantAffinity can in principle send *all* jobs to one
-    /// machine; a split contributes at most one part per machine per
-    /// job, and a re-placed remainder occupies only one machine at a
-    /// time). An undersized queue would otherwise surface as a
-    /// machine-level admission rejection deep inside the episode, where
-    /// it desynchronises the slot accounting — here it is an early,
-    /// attributable error instead.
+    /// hold the worst-case routed backlog. Placement is load-dependent, so
+    /// LeastLoaded and spilling TenantAffinity can in principle send *all*
+    /// jobs to one machine; each admissible job therefore counts one
+    /// queue slot. A healthy split puts at most one part on each machine,
+    /// but a fail-stop re-places a dead machine's parts onto survivors
+    /// that may already hold their siblings — so when the fault schedule
+    /// has a machine fail-stop, each split-eligible job (one layer, at
+    /// least `split.min_flops`) counts `min(split.max_ways, machines)`
+    /// slots. (A re-placed remainder otherwise occupies one machine at a
+    /// time.) An undersized queue would surface as a machine-level
+    /// admission rejection deep inside the episode — a routed job that
+    /// never completes — and here it is an early, attributable error
+    /// instead.
     ///
     /// # Panics
     ///
     /// Panics naming the first offending machine.
     fn validate_capacity(&self, specs: &[JobSpec]) {
-        let admissible = specs
+        let split = self.spec.split;
+        let part_slots = if self.spec.faults.machine_faults.is_empty() {
+            1
+        } else {
+            split.max_ways.min(self.spec.machines.len())
+        };
+        let backlog: usize = specs
             .iter()
             .filter(|s| validate_spec(self.tenants.len(), s).is_ok())
-            .count();
+            .map(|s| {
+                if s.layers.len() == 1 && s.flops() >= split.min_flops {
+                    part_slots
+                } else {
+                    1
+                }
+            })
+            .sum();
         for (i, m) in self.spec.machines.iter().enumerate() {
             assert!(
-                m.serve.queue_capacity >= admissible,
+                m.serve.queue_capacity >= backlog,
                 "machine {i} ({}) queue_capacity {} cannot hold the episode's worst-case \
-                 routed backlog of {admissible} jobs; raise ServeConfig::queue_capacity on \
+                 routed backlog of {backlog} jobs; raise ServeConfig::queue_capacity on \
                  that machine or shard the trace",
                 m.name,
                 m.serve.queue_capacity,
@@ -502,48 +518,6 @@ impl Ord for ReRoute {
     }
 }
 
-/// Per-machine mapping from the engine's admission-ordered job ids back
-/// to fleet record indices.
-///
-/// Routed jobs enter the `pending` min-heap keyed `(effective arrival,
-/// route order)` — exactly the order the machine engine admits them in
-/// (its push contract guarantees no pushed arrival predates an admitted
-/// one, so heap order *is* admission order). Ranks are materialised
-/// lazily: when job `i` completes, the heap is drained up to slot `i`.
-/// Every job with id ≤ `i` was already routed by then, and any later
-/// route keys strictly after the drained prefix, so the prefix is final —
-/// each slot costs one O(log n) heap pop instead of the old O(n)
-/// backward-scan sorted insert.
-#[derive(Default)]
-struct SlotMap {
-    /// Routed-but-not-ranked jobs: `(effective arrival, route seq, record)`.
-    pending: BinaryHeap<Reverse<(SimTime, u64, usize)>>,
-    /// Monotone route counter — the stable tiebreak for equal arrivals.
-    seq: u64,
-    /// Slot `i` = the machine engine's job `i`: `(effective arrival,
-    /// record index)`.
-    assigned: Vec<(SimTime, usize)>,
-}
-
-impl SlotMap {
-    /// The `(effective arrival, record)` of machine-local job `id`,
-    /// materialising ranks up to `id` on demand.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine reports a job that was never routed.
-    fn resolve(&mut self, id: usize) -> (SimTime, usize) {
-        while self.assigned.len() <= id {
-            let Reverse((at, _, rec)) = self
-                .pending
-                .pop()
-                .expect("engine completed a job that was never routed");
-            self.assigned.push((at, rec));
-        }
-        self.assigned[id]
-    }
-}
-
 /// Ranks `machines` fleet positions along a generalized Hilbert curve
 /// over the near-square grid `cols × rows` with `cols = ⌈√machines⌉`
 /// (machine `m` at grid cell `(m % cols, m / cols)` — rack/row order).
@@ -584,9 +558,9 @@ struct FleetEpisode {
     tenant_home: Vec<Option<usize>>,
     /// Round-robin cursor.
     rr: usize,
-    /// Per machine: the admission-slot → fleet-record mapping (reset on
-    /// fail-stop together with the engine incarnation).
-    slots: Vec<SlotMap>,
+    /// Per machine: engine push ticket → fleet record (reset on fail-stop
+    /// together with the engine incarnation, whose tickets restart at 0).
+    routed: Vec<Vec<usize>>,
     /// Lazy-deletion min-heap of machine cursors `(next event, machine)`
     /// driving the global merge; see [`FleetEpisode::rekey`].
     cursors: BinaryHeap<Reverse<(SimTime, usize)>>,
@@ -634,9 +608,6 @@ struct FleetEpisode {
     /// Per machine: in the autoscaler's active placement set (all true
     /// without an autoscaler).
     active: Vec<bool>,
-    /// Every machine alive *and* active — the fast path that keeps
-    /// fault-free routing bit-identical to the pre-fault router.
-    full_fleet: bool,
     /// Per machine: serve reports of retired (failed) incarnations.
     retired: Vec<Vec<ServeReport>>,
     /// Pending re-placements, ordered `(effective re-arrival, seq)`.
@@ -714,7 +685,7 @@ impl FleetEpisode {
             outstanding: vec![0; machines],
             tenant_home: vec![None; tenants],
             rr: 0,
-            slots: (0..machines).map(|_| SlotMap::default()).collect(),
+            routed: vec![Vec::new(); machines],
             cursors: BinaryHeap::new(),
             records: Vec::new(),
             deadlines: Vec::new(),
@@ -735,7 +706,6 @@ impl FleetEpisode {
             lat_mult: 1,
             bw_div: 1,
             alive: vec![true; machines],
-            full_fleet: active_n == machines,
             active,
             retired: vec![Vec::new(); machines],
             reroutes: BinaryHeap::new(),
@@ -768,10 +738,6 @@ impl FleetEpisode {
 
     fn eligible_count(&self) -> usize {
         (0..self.alive.len()).filter(|&m| self.eligible(m)).count()
-    }
-
-    fn update_full_fleet(&mut self) {
-        self.full_fleet = (0..self.alive.len()).all(|m| self.eligible(m));
     }
 
     /// Earliest still-scheduled recovery — the wake instant for work that
@@ -888,7 +854,7 @@ impl FleetEpisode {
 
     /// Fail-stop of machine `i` at `at`: evict everything un-finished,
     /// retire the engine incarnation (its report is merged into the
-    /// machine's final view), cold-restart system and slot map, and queue
+    /// machine's final view), cold-restart system and ticket map, and queue
     /// every evicted remainder for re-placement after charging its state
     /// transfer through the interconnect. Completions the engine already
     /// committed (even ones timestamped past `at`) stand.
@@ -913,7 +879,6 @@ impl FleetEpisode {
         self.downs[i].push((at, None));
         self.failures += 1;
         let was_active = self.active[i];
-        self.update_full_fleet();
 
         let evicted = engines[i].evict_all(at);
         let mspec = &cspec.machines[i];
@@ -927,20 +892,14 @@ impl FleetEpisode {
         self.retired[i].push(old.finish(&systems[i]));
         systems[i] = MacoSystem::new(mspec.system.clone());
         systems[i].reset_shared_resources();
-        // The old slot map resolves the evicted ids (including synthetic
-        // ids for never-admitted queued arrivals — the engine numbers
-        // them in admission order, which is exactly the slot map's heap
-        // order); the fresh incarnation starts with a fresh map.
-        let mut old_slots = std::mem::take(&mut self.slots[i]);
+        // Every evicted job (never-admitted arrivals included) echoes its
+        // push ticket; the fresh incarnation's tickets restart at 0.
+        let routed = std::mem::take(&mut self.routed[i]);
         self.outstanding[i] = 0;
 
         let mut latest = at;
         for ej in evicted {
-            let (slot_arrival, rec) = old_slots.resolve(ej.id.0 as usize);
-            assert!(
-                slot_arrival == ej.spec.arrival && self.records[rec].tenant == ej.spec.tenant,
-                "machine {i} eviction desync: evicted job does not match its routed record"
-            );
+            let rec = routed[ej.ticket as usize];
             let weight_bytes: u64 = ej
                 .spec
                 .layers
@@ -983,7 +942,6 @@ impl FleetEpisode {
                 self.active[s] = true;
                 self.scale(at, true, s);
             }
-            self.update_full_fleet();
         }
     }
 
@@ -1014,7 +972,6 @@ impl FleetEpisode {
                 self.active[i] = false;
             }
         }
-        self.update_full_fleet();
     }
 
     /// Records one autoscaler action on machine `m` (activation or
@@ -1069,7 +1026,6 @@ impl FleetEpisode {
                 self.active[s] = true;
                 self.last_scale = Some(t);
                 self.scale(t, true, s);
-                self.update_full_fleet();
             }
         } else if active_n > a.min_machines as u64
             && misses == 0
@@ -1082,7 +1038,6 @@ impl FleetEpisode {
                 self.active[s] = false;
                 self.last_scale = Some(t);
                 self.scale(t, false, s);
-                self.update_full_fleet();
             }
         }
     }
@@ -1097,7 +1052,7 @@ impl FleetEpisode {
         spec: &ClusterSpec,
         tenants: &[Tenant],
         engines: &mut [Engine],
-        job: JobSpec,
+        mut job: JobSpec,
         index: usize,
     ) {
         let machines = engines.len();
@@ -1112,23 +1067,7 @@ impl FleetEpisode {
                 index as u64,
                 job.tenant as u32,
             );
-            let deadline = job.deadline;
-            self.push_record(
-                JobRecord {
-                    index,
-                    tenant: job.tenant,
-                    arrival: job.arrival,
-                    effective_arrival: job.arrival,
-                    machines: Vec::new(),
-                    split: None,
-                    migrated: false,
-                    requeues: 0,
-                    finished_at: None,
-                    flops: job.flops(),
-                    interconnect_bytes: 0,
-                },
-                deadline,
-            );
+            self.push_record(JobRecord::new(index, &job), job.deadline);
             return;
         }
         let flops = job.flops();
@@ -1137,28 +1076,13 @@ impl FleetEpisode {
         // Every machine dead: defer to the next scheduled recovery (the
         // fault-first tie order guarantees the recovery is processed
         // before the deferred re-route at the same instant).
-        if !self.full_fleet && self.eligible_count() == 0 {
+        let elig_n = self.eligible_count();
+        if elig_n == 0 {
             let wake = self
                 .next_recovery()
                 .expect("every machine is dead with no scheduled recovery: the fleet cannot serve this arrival");
             let rec = self.records.len();
-            let deadline = job.deadline;
-            self.push_record(
-                JobRecord {
-                    index,
-                    tenant: job.tenant,
-                    arrival: job.arrival,
-                    effective_arrival: job.arrival,
-                    machines: Vec::new(),
-                    split: None,
-                    migrated: false,
-                    requeues: 0,
-                    finished_at: None,
-                    flops,
-                    interconnect_bytes: 0,
-                },
-                deadline,
-            );
+            self.push_record(JobRecord::new(index, &job), job.deadline);
             self.sink.instant(
                 "route/defer",
                 ROUTER_TRACK,
@@ -1181,20 +1105,11 @@ impl FleetEpisode {
         // Data-parallel split: single-layer jobs above the threshold fan
         // out across the least-loaded eligible machines; whole DNN
         // streams always stay machine-affine.
-        let elig_n = if self.full_fleet {
-            machines
-        } else {
-            self.eligible_count()
-        };
         let want_ways = spec.split.max_ways.min(elig_n);
         if job.layers.len() == 1 && flops >= spec.split.min_flops && want_ways >= 2 {
             let split = split_job(&job, spec.split.kind, want_ways);
             if split.parts.len() >= 2 {
-                let mut order: Vec<usize> = if self.full_fleet {
-                    (0..machines).collect()
-                } else {
-                    (0..machines).filter(|&m| self.eligible(m)).collect()
-                };
+                let mut order: Vec<usize> = (0..machines).filter(|&m| self.eligible(m)).collect();
                 if spec.placement == Placement::SfcLocality {
                     // Curve-compact fan-out anchored on the tenant's home:
                     // the anchor stays `targets[0]` (so the home does not
@@ -1239,10 +1154,7 @@ impl FleetEpisode {
                         deadline: job.deadline,
                         gang_width: job.gang_width,
                     };
-                    self.outstanding[m] += part_spec.flops();
-                    self.push_slot(m, effective, index);
-                    engines[m].push(part_spec);
-                    self.rekey(&engines[m], m);
+                    self.push_job(engines, m, part_spec, index);
                     self.fingerprint = fold_fingerprint(self.fingerprint, m as u64);
                 }
                 self.fingerprint = fold_fingerprint(self.fingerprint, effective.as_fs());
@@ -1267,22 +1179,14 @@ impl FleetEpisode {
                 // (the scatter already priced the operand movement, so no
                 // separate migration charge).
                 self.tenant_home[job.tenant] = Some(targets[0]);
-                self.push_record(
-                    JobRecord {
-                        index,
-                        tenant: job.tenant,
-                        arrival: job.arrival,
-                        effective_arrival: effective,
-                        machines: targets,
-                        split: Some(spec.split.kind),
-                        migrated: false,
-                        requeues: 0,
-                        finished_at: None,
-                        flops,
-                        interconnect_bytes: scatter_link,
-                    },
-                    job.deadline,
-                );
+                let record = JobRecord {
+                    effective_arrival: effective,
+                    machines: targets,
+                    split: Some(spec.split.kind),
+                    interconnect_bytes: scatter_link,
+                    ..JobRecord::new(index, &job)
+                };
+                self.push_record(record, job.deadline);
                 return;
             }
         }
@@ -1322,18 +1226,19 @@ impl FleetEpisode {
             job.arrival
         };
         self.tenant_home[job.tenant] = Some(m);
-        self.outstanding[m] += flops;
-        self.push_slot(m, effective, index);
         let tenant = job.tenant;
-        let arrival = job.arrival;
-        let deadline = job.deadline;
+        let record = JobRecord {
+            effective_arrival: effective,
+            machines: vec![m],
+            migrated,
+            interconnect_bytes: link_bytes,
+            ..JobRecord::new(index, &job)
+        };
+        self.push_record(record, job.deadline);
         // The routed job moves into the machine engine whole — the layer
         // stream is never cloned on the routing path.
-        engines[m].push(JobSpec {
-            arrival: effective,
-            ..job
-        });
-        self.rekey(&engines[m], m);
+        job.arrival = effective;
+        self.push_job(engines, m, job, index);
         self.fingerprint = fold_fingerprint(self.fingerprint, m as u64);
         self.fingerprint = fold_fingerprint(self.fingerprint, effective.as_fs());
         let name = if migrated { "route/migrate" } else { "route" };
@@ -1344,22 +1249,6 @@ impl FleetEpisode {
             effective,
             index as u64,
             tenant as u32,
-        );
-        self.push_record(
-            JobRecord {
-                index,
-                tenant,
-                arrival,
-                effective_arrival: effective,
-                machines: vec![m],
-                split: None,
-                migrated,
-                requeues: 0,
-                finished_at: None,
-                flops,
-                interconnect_bytes: link_bytes,
-            },
-            deadline,
         );
     }
 
@@ -1396,15 +1285,9 @@ impl FleetEpisode {
             self.attribute(r.rec, src, link);
         }
         self.tenant_home[r.spec.tenant] = Some(m);
-        self.outstanding[m] += r.spec.flops();
-        self.push_slot(m, r.at, r.rec);
-        let rec = r.rec;
-        let at = r.at;
-        engines[m].push(JobSpec {
-            arrival: at,
-            ..r.spec
-        });
-        self.rekey(&engines[m], m);
+        let (rec, at, mut job) = (r.rec, r.at, r.spec);
+        job.arrival = at;
+        self.push_job(engines, m, job, rec);
         self.fault_fp = fold_fingerprint(self.fault_fp, 0xF6);
         self.fault_fp = fold_fingerprint(self.fault_fp, m as u64);
         self.fault_fp = fold_fingerprint(self.fault_fp, rec as u64);
@@ -1437,53 +1320,12 @@ impl FleetEpisode {
         }
     }
 
-    /// The machine-affine placement decision. A full fleet takes the
-    /// exact pre-fault path (bit-identical decisions); otherwise the
-    /// same policies run restricted to the eligible machines.
+    /// The machine-affine placement decision: each policy runs over the
+    /// eligible (alive and active) machines. With every machine eligible
+    /// this is the plain fleet-wide policy — round-robin's `rr % n_elig`
+    /// indexes the whole fleet, and the eligibility filters pass
+    /// everything.
     fn place(&mut self, placement: Placement, machines: usize, tenant: usize) -> usize {
-        if self.full_fleet {
-            return match placement {
-                Placement::RoundRobin => {
-                    let m = self.rr % machines;
-                    self.rr += 1;
-                    m
-                }
-                Placement::LeastLoaded => (0..machines)
-                    .min_by_key(|&m| (self.outstanding[m], m))
-                    .expect("at least one machine"),
-                Placement::TenantAffinity { spill } => {
-                    let home = self.tenant_home[tenant].unwrap_or(tenant % machines);
-                    let total: u64 = self.outstanding.iter().sum();
-                    // Spill when the home's load exceeds `spill`× the fleet
-                    // average: home·machines > spill·total, cross-multiplied
-                    // so the comparison stays in integers.
-                    let overloaded = total > 0
-                        && (self.outstanding[home] as u128 * machines as u128)
-                            > (spill as u128 * total as u128);
-                    if overloaded {
-                        (0..machines)
-                            .min_by_key(|&m| (self.outstanding[m], m))
-                            .expect("at least one machine")
-                    } else {
-                        home
-                    }
-                }
-                Placement::SfcLocality => {
-                    let home = self.sfc_home(tenant, machines);
-                    if self.sfc_overloaded(home, machines) {
-                        // Spill along the curve: the nearest other machine
-                        // (by curve distance, then load) keeps the
-                        // tenant's traffic mesh-compact.
-                        (0..machines)
-                            .filter(|&m| m != home)
-                            .min_by_key(|&m| (self.curve_dist(m, home), self.outstanding[m], m))
-                            .unwrap_or(home)
-                    } else {
-                        home
-                    }
-                }
-            };
-        }
         let n_elig = self.eligible_count();
         debug_assert!(n_elig > 0, "place() with no eligible machines");
         let least_eligible = |ep: &Self| {
@@ -1548,31 +1390,23 @@ impl FleetEpisode {
         total > 0 && (self.outstanding[home] as u128 * machines as u128) > (2 * total as u128)
     }
 
-    /// Registers one routed job with the machine's [`SlotMap`], mirroring
-    /// [`Engine::push`] ordering: the engine admits pushed jobs in
-    /// `(arrival, push order)` order, and pushes never predate an
-    /// already-admitted arrival, so the slot map's rank `i` is the
-    /// engine's job `i` by the time it can complete.
-    fn push_slot(&mut self, machine: usize, at: SimTime, record: usize) {
-        let slot = &mut self.slots[machine];
-        slot.pending.push(Reverse((at, slot.seq, record)));
-        slot.seq += 1;
+    /// Pushes one job (or split part) into machine `m`'s engine on behalf
+    /// of fleet record `record`: charges it to the machine's outstanding
+    /// load, remembers the record under the engine's push ticket and
+    /// re-keys the machine's merge cursor.
+    fn push_job(&mut self, engines: &mut [Engine], m: usize, job: JobSpec, record: usize) {
+        self.outstanding[m] += job.flops();
+        let ticket = engines[m].push(job);
+        debug_assert_eq!(ticket as usize, self.routed[m].len(), "tickets are dense");
+        self.routed[m].push(record);
+        self.rekey(&engines[m], m);
     }
 
     /// Processes one machine-level job completion: load accounting, split
     /// reduction barriers, fleet-level completion records and SLO/goodput
     /// accounting.
     fn complete(&mut self, machine: usize, outcome: JobOutcome) {
-        let (slot_arrival, rec) = self.slots[machine].resolve(outcome.job.0 as usize);
-        // The slot map assumes the engine admitted every routed job: a
-        // machine-level admission rejection (queue overflow) would shift
-        // all later machine-local job ids off their slots. Fail loudly
-        // instead of attributing completions to the wrong records.
-        assert!(
-            slot_arrival == outcome.arrival && self.records[rec].tenant == outcome.tenant,
-            "machine {machine} admission desync (queue overflow?): routed jobs must fit \
-             the machine's ServeConfig::queue_capacity"
-        );
+        let rec = self.routed[machine][outcome.ticket as usize];
         // Outstanding flops are a strict routed-minus-completed ledger; a
         // completion exceeding what was routed means the accounting is
         // corrupt and every load-aware placement decision after it would
@@ -1650,8 +1484,10 @@ impl FleetEpisode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use maco_core::gemm_plus::GemmPlusTask;
+    use maco_isa::Precision;
     use maco_serve::JobId;
-    use maco_sim::SimDuration;
+    use maco_sim::{SimDuration, SplitMix64};
 
     fn t(ns: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_ns(ns)
@@ -1661,21 +1497,28 @@ mod tests {
         FleetEpisode::new(&ClusterSpec::uniform(machines, 2), 4)
     }
 
-    /// The lazily drained slot map materialises machine-local job ids in
-    /// `(effective arrival, route order)` rank — the engine's admission
-    /// order — regardless of resolution order.
-    #[test]
-    fn slot_map_resolves_in_arrival_then_route_order() {
-        let mut sm = SlotMap::default();
-        sm.pending.push(Reverse((t(5), 0, 10)));
-        sm.pending.push(Reverse((t(1), 1, 11)));
-        sm.pending.push(Reverse((t(5), 2, 12)));
-        sm.seq = 3;
-        // Rank 0 is the earliest arrival; equal arrivals rank by route
-        // order. Out-of-order resolution still lands on the same ranks.
-        assert_eq!(sm.resolve(2), (t(5), 12));
-        assert_eq!(sm.resolve(0), (t(1), 11));
-        assert_eq!(sm.resolve(1), (t(5), 10));
+    /// One episode whose machine 0 has routed a 100-flop job (record 0,
+    /// ticket 0) but only 10 flops outstanding, plus that job's outcome.
+    fn underflowing_episode() -> (FleetEpisode, JobOutcome) {
+        let mut ep = episode(1);
+        ep.outstanding[0] = 10;
+        let job = JobSpec::single(0, GemmPlusTask::gemm(4, 4, 4, Precision::Fp32), t(0));
+        let record = JobRecord {
+            machines: vec![0],
+            flops: 100,
+            ..JobRecord::new(0, &job)
+        };
+        ep.push_record(record, None);
+        ep.routed[0].push(0);
+        let outcome = JobOutcome {
+            job: JobId(0),
+            ticket: 0,
+            tenant: 0,
+            arrival: t(0),
+            finished_at: t(7),
+            flops: 100,
+        };
+        (ep, outcome)
     }
 
     /// Regression: a completion reporting more flops than its machine has
@@ -1686,35 +1529,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "outstanding-flops underflow")]
     fn outstanding_underflow_panics_in_debug() {
-        let mut ep = episode(1);
-        ep.outstanding[0] = 10;
-        ep.push_record(
-            JobRecord {
-                index: 0,
-                tenant: 0,
-                arrival: t(0),
-                effective_arrival: t(0),
-                machines: vec![0],
-                split: None,
-                migrated: false,
-                requeues: 0,
-                finished_at: None,
-                flops: 100,
-                interconnect_bytes: 0,
-            },
-            None,
-        );
-        ep.push_slot(0, t(0), 0);
-        ep.complete(
-            0,
-            JobOutcome {
-                job: JobId(0),
-                tenant: 0,
-                arrival: t(0),
-                finished_at: t(7),
-                flops: 100,
-            },
-        );
+        let (mut ep, outcome) = underflowing_episode();
+        ep.complete(0, outcome);
     }
 
     /// In release builds the same underflow clamps to zero *and* counts
@@ -1723,36 +1539,104 @@ mod tests {
     #[cfg(not(debug_assertions))]
     #[test]
     fn outstanding_underflow_clamps_and_counts_in_release() {
-        let mut ep = episode(1);
-        ep.outstanding[0] = 10;
-        ep.push_record(
-            JobRecord {
-                index: 0,
-                tenant: 0,
-                arrival: t(0),
-                effective_arrival: t(0),
-                machines: vec![0],
-                split: None,
-                migrated: false,
-                requeues: 0,
-                finished_at: None,
-                flops: 100,
-                interconnect_bytes: 0,
-            },
-            None,
-        );
-        ep.push_slot(0, t(0), 0);
-        ep.complete(
-            0,
-            JobOutcome {
-                job: JobId(0),
-                tenant: 0,
-                arrival: t(0),
-                finished_at: t(7),
-                flops: 100,
-            },
-        );
+        let (mut ep, outcome) = underflowing_episode();
+        ep.complete(0, outcome);
         assert_eq!(ep.outstanding[0], 0);
         assert_eq!(ep.diagnostics.outstanding_clamps, 1);
+    }
+
+    /// The fleet-wide placement policies as they ran before placement was
+    /// restricted to the eligible set — the reference the single path
+    /// must reproduce whenever every machine is eligible.
+    fn full_fleet_place(
+        ep: &mut FleetEpisode,
+        placement: Placement,
+        machines: usize,
+        tenant: usize,
+    ) -> usize {
+        let least = |ep: &FleetEpisode| {
+            (0..machines)
+                .min_by_key(|&m| (ep.outstanding[m], m))
+                .expect("at least one machine")
+        };
+        match placement {
+            Placement::RoundRobin => {
+                let m = ep.rr % machines;
+                ep.rr += 1;
+                m
+            }
+            Placement::LeastLoaded => least(ep),
+            Placement::TenantAffinity { spill } => {
+                let home = ep.tenant_home[tenant].unwrap_or(tenant % machines);
+                let total: u64 = ep.outstanding.iter().sum();
+                let overloaded = total > 0
+                    && (ep.outstanding[home] as u128 * machines as u128)
+                        > (spill as u128 * total as u128);
+                if overloaded {
+                    least(ep)
+                } else {
+                    home
+                }
+            }
+            Placement::SfcLocality => {
+                let home = ep.sfc_home(tenant, machines);
+                if ep.sfc_overloaded(home, machines) {
+                    (0..machines)
+                        .filter(|&m| m != home)
+                        .min_by_key(|&m| (ep.curve_dist(m, home), ep.outstanding[m], m))
+                        .unwrap_or(home)
+                } else {
+                    home
+                }
+            }
+        }
+    }
+
+    /// With every machine eligible, `place()` picks the same machine and
+    /// advances the round-robin cursor exactly as the fleet-wide
+    /// reference does, for every policy over random loads, tenant homes
+    /// and cursor positions.
+    #[test]
+    fn single_placement_path_matches_the_full_fleet_reference() {
+        let policies = [
+            Placement::RoundRobin,
+            Placement::LeastLoaded,
+            Placement::TenantAffinity { spill: 2 },
+            Placement::SfcLocality,
+        ];
+        let mut rng = SplitMix64::new(0x9E37);
+        for case in 0..2_000 {
+            let machines = 1 + rng.next_below(9) as usize;
+            let mut ep = episode(machines);
+            for load in &mut ep.outstanding {
+                // Mostly small loads, so ties and zero totals both occur.
+                *load = match rng.next_below(4) {
+                    0 => 0,
+                    1 => rng.next_below(4),
+                    _ => rng.next_below(1 << 40),
+                };
+            }
+            for home in &mut ep.tenant_home {
+                *home = match rng.next_below(machines as u64 + 1) {
+                    0 => None,
+                    h => Some(h as usize - 1),
+                };
+            }
+            ep.rr = rng.next_below(1 << 20) as usize;
+            let tenant = rng.next_below(ep.tenant_home.len() as u64) as usize;
+            for placement in policies {
+                let mut reference = episode(machines);
+                reference.outstanding.clone_from(&ep.outstanding);
+                reference.tenant_home.clone_from(&ep.tenant_home);
+                reference.rr = ep.rr;
+                let want = full_fleet_place(&mut reference, placement, machines, tenant);
+                let got = ep.place(placement, machines, tenant);
+                assert_eq!(
+                    got, want,
+                    "case {case}: {placement:?} on {machines} machines"
+                );
+                assert_eq!(ep.rr, reference.rr, "case {case}: {placement:?} cursor");
+            }
+        }
     }
 }

@@ -3,7 +3,7 @@
 
 use std::fmt;
 
-use maco_serve::ServeReport;
+use maco_serve::{JobSpec, ServeReport};
 use maco_sim::{SimDuration, SimTime, Stats};
 use maco_telemetry::Log2Histogram;
 
@@ -120,6 +120,25 @@ pub struct JobRecord {
 }
 
 impl JobRecord {
+    /// The record of the `index`-th submitted job as it reaches the
+    /// router: placed nowhere yet, unsplit, unmigrated, unfinished, no
+    /// traffic attributed. Routing sets the fields that differ.
+    pub(crate) fn new(index: usize, job: &JobSpec) -> Self {
+        JobRecord {
+            index,
+            tenant: job.tenant,
+            arrival: job.arrival,
+            effective_arrival: job.arrival,
+            machines: Vec::new(),
+            split: None,
+            migrated: false,
+            requeues: 0,
+            finished_at: None,
+            flops: job.flops(),
+            interconnect_bytes: 0,
+        }
+    }
+
     /// End-to-end latency (router arrival → fleet completion), when the
     /// job completed.
     pub fn latency(&self) -> Option<SimDuration> {

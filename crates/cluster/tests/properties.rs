@@ -16,7 +16,7 @@
 
 use proptest::prelude::*;
 
-use maco_cluster::{split, Cluster, ClusterSpec, Placement, SplitKind, SplitSpec};
+use maco_cluster::{split, Cluster, ClusterSpec, FaultSpec, Placement, SplitKind, SplitSpec};
 use maco_core::gemm_plus::{partition_depth, GemmPlusTask};
 use maco_core::system::{MacoSystem, SystemConfig};
 use maco_isa::Precision;
@@ -376,6 +376,64 @@ fn undersized_machine_queue_fails_preflight_naming_the_machine() {
         })
         .collect();
     let _ = cluster.run_jobs(jobs);
+}
+
+/// Two one-node machines k-splitting every job two ways, each machine
+/// queue holding `capacity` jobs, with machine 1 fail-stopping in the
+/// first tenth of the healthy makespan — so its split parts are re-placed
+/// onto machine 0, which already holds their siblings.
+fn split_failover(capacity: usize) -> (ClusterSpec, Vec<JobSpec>) {
+    let mut spec = ClusterSpec::uniform(2, 1).with_split(SplitSpec::new(SplitKind::KSplit, 1, 2));
+    for m in &mut spec.machines {
+        m.serve.queue_capacity = capacity;
+    }
+    let jobs: Vec<JobSpec> = (0..3)
+        .map(|i| {
+            JobSpec::single(
+                0,
+                GemmPlusTask::gemm(256, 256, 256, Precision::Fp32),
+                SimTime::ZERO + SimDuration::from_ns(i),
+            )
+        })
+        .collect();
+    let healthy = Cluster::new(spec.clone(), Tenant::fleet(1))
+        .run_jobs(jobs.clone())
+        .expect("healthy episode completes");
+    assert_eq!(healthy.splits, 3, "every job splits");
+    let kill_at = SimTime::ZERO + healthy.makespan / 10;
+    let spec = spec.with_faults(FaultSpec::none().with_failure(1, kill_at, None));
+    (spec, jobs)
+}
+
+/// Regression: the pre-flight bound used to count one queue slot per
+/// job, but failover piles a dead machine's split parts onto survivors
+/// holding their siblings — machine 0 overflowed mid-episode and a job
+/// was lost. Under a fail-stop schedule a split-eligible job now counts
+/// one slot per part, so the undersized fleet fails before it starts.
+#[test]
+#[should_panic(expected = "machine 0 (m0) queue_capacity 3")]
+fn split_failover_counts_every_part_in_the_preflight_bound() {
+    let (spec, jobs) = split_failover(3);
+    let _ = Cluster::new(spec, Tenant::fleet(1)).run_jobs(jobs);
+}
+
+/// The same split failover on queues sized by the new bound (two parts
+/// per job) loses nothing.
+#[test]
+fn split_failover_within_the_preflight_bound_loses_no_job() {
+    let (spec, jobs) = split_failover(6);
+    let report = Cluster::new(spec, Tenant::fleet(1))
+        .run_jobs(jobs)
+        .expect("episode completes");
+    assert_eq!(report.fault.failures, 1);
+    assert!(
+        report.fault.jobs_replaced > 0,
+        "the fail-stop evicted parts"
+    );
+    assert_eq!(report.jobs_completed, 3);
+    assert_eq!(report.jobs_rejected, 0);
+    assert_eq!(report.fault.jobs_lost, 0);
+    assert_eq!(report.diagnostics.outstanding_clamps, 0);
 }
 
 /// The pre-flight bound counts only admissible jobs: invalid specs are

@@ -25,7 +25,7 @@
 //! arrival < wake < task-step on equal times, realised as three sources
 //! merged by an explicit tie-break:
 //!
-//! * **arrivals** — a binary min-heap keyed `(arrival, push seq)`, so
+//! * **arrivals** — a binary min-heap keyed `(arrival, push ticket)`, so
 //!   equal arrival times pop in push order (exactly the order the old
 //!   sorted-insert `VecDeque` produced — which is why schedule
 //!   fingerprints survived the rebuild bit for bit);
@@ -219,17 +219,18 @@ impl Server {
 }
 
 /// One pushed-but-not-admitted arrival in the pending heap, ordered by
-/// `(arrival, push seq)` so equal arrival times pop in push order — the
+/// `(arrival, ticket)` so equal arrival times pop in push order — the
 /// same stable order the pre-heap sorted-insert stream produced.
 struct PendingArrival {
     at: SimTime,
-    seq: u64,
+    /// The push ticket (push sequence number).
+    ticket: u64,
     spec: JobSpec,
 }
 
 impl PartialEq for PendingArrival {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+        self.at == other.at && self.ticket == other.ticket
     }
 }
 
@@ -243,7 +244,7 @@ impl PartialOrd for PendingArrival {
 
 impl Ord for PendingArrival {
     fn cmp(&self, other: &Self) -> Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
+        (self.at, self.ticket).cmp(&(other.at, other.ticket))
     }
 }
 
@@ -294,6 +295,8 @@ impl Ord for ActiveTask {
 /// Per-job episode state.
 struct Job {
     spec: JobSpec,
+    /// The ticket [`Engine::push`] returned for this job.
+    ticket: u64,
     /// Cached total flops (reported in the job's outcome).
     flops_total: u64,
     group: Vec<usize>,
@@ -314,6 +317,8 @@ struct Job {
 pub struct JobOutcome {
     /// The completed job, numbered in admission order within the episode.
     pub job: JobId,
+    /// The ticket [`Engine::push`] returned for this job.
+    pub ticket: u64,
     /// Submitting tenant.
     pub tenant: usize,
     /// The job's arrival time (as submitted to this engine).
@@ -333,9 +338,12 @@ pub struct EvictedJob {
     /// The machine-local job id. Admitted jobs keep their real id; pending
     /// (pushed-but-not-admitted) arrivals get the id they *would have been
     /// admitted as* — they are returned in `(arrival, push order)` pop
-    /// order, which is exactly admission order, so ids stay dense and any
-    /// external slot mapping keyed on admission rank resolves them too.
+    /// order, which is exactly admission order, so ids stay dense. A
+    /// composition layer maps the job back to its own bookkeeping through
+    /// [`EvictedJob::ticket`], not through this id.
     pub id: JobId,
+    /// The ticket [`Engine::push`] returned for this job.
+    pub ticket: u64,
     /// The un-served remainder: the spec minus fully completed layers. An
     /// interrupted in-flight layer restarts from its beginning — the layer
     /// barrier is the stream-level checkpoint (k-split spans are the
@@ -399,10 +407,10 @@ pub struct Engine {
     tenants: Vec<Tenant>,
     config: ServeConfig,
     /// Pending job stream (not yet submitted): min-heap on
-    /// `(arrival, push seq)`.
+    /// `(arrival, push ticket)`.
     arrivals: BinaryHeap<Reverse<PendingArrival>>,
-    /// Monotone push counter — the stable tiebreak for equal arrivals.
-    push_seq: u64,
+    /// The next push ticket — also the stable tiebreak for equal arrivals.
+    next_ticket: u64,
     /// Latest arrival time already admitted from the pending stream; the
     /// floor the [`Engine::push`] contract is checked against.
     arrival_floor: SimTime,
@@ -471,7 +479,7 @@ impl Engine {
             tenants: tenants.to_vec(),
             config: config.clone(),
             arrivals: BinaryHeap::new(),
-            push_seq: 0,
+            next_ticket: 0,
             arrival_floor: SimTime::ZERO,
             pool: NodePool::new(nodes),
             queue: JobQueue::new(config.policy, config.queue_capacity),
@@ -503,31 +511,36 @@ impl Engine {
         self.track = track;
     }
 
-    /// Feeds one future arrival into the engine. The pending stream pops
-    /// in `(arrival, push order)` order — equal arrival times keep push
-    /// order — so a composition layer may interleave pushes with
-    /// [`Engine::advance`] calls (e.g. to inject a migration-delayed job)
-    /// as long as no pushed arrival predates an arrival already processed.
+    /// Feeds one future arrival into the engine and returns its *ticket*:
+    /// the push index, dense from 0 within this engine. The job's
+    /// [`JobOutcome`] or [`EvictedJob`] echoes the ticket, so a composition
+    /// layer can map machine-local results back to its own records
+    /// without re-deriving admission order. (A job rejected at admission
+    /// reports no outcome, so its ticket never comes back.)
     ///
-    /// That contract is *enforced* in debug builds: a violating push would
-    /// silently corrupt admission order (job ids no longer equal
-    /// `(arrival, push order)` rank) and desync any external slot mapping
-    /// built on it, so it debug-panics here instead of corrupting the
-    /// episode downstream.
-    pub fn push(&mut self, spec: JobSpec) {
+    /// The pending stream pops in `(arrival, push order)` order — equal
+    /// arrival times keep push order — so a composition layer may
+    /// interleave pushes with [`Engine::advance`] calls (e.g. to inject a
+    /// migration-delayed job) as long as no pushed arrival predates an
+    /// arrival already processed. That contract is *enforced* in debug
+    /// builds: a violating push would admit a job into the simulated
+    /// past, so it debug-panics here instead of corrupting the schedule.
+    pub fn push(&mut self, spec: JobSpec) -> u64 {
         debug_assert!(
             spec.arrival >= self.arrival_floor,
             "Engine::push contract violated: pushed arrival at {:?} fs predates an \
-             already-processed arrival at {:?} fs — admission order would desync",
+             already-processed arrival at {:?} fs — it would be admitted into the past",
             spec.arrival.as_fs(),
             self.arrival_floor.as_fs(),
         );
+        let ticket = self.next_ticket;
         self.arrivals.push(Reverse(PendingArrival {
             at: spec.arrival,
-            seq: self.push_seq,
+            ticket,
             spec,
         }));
-        self.push_seq += 1;
+        self.next_ticket += 1;
+        ticket
     }
 
     /// The engine's next event time: the earliest of the next pending
@@ -588,7 +601,7 @@ impl Engine {
             let Reverse(pending) = self.arrivals.pop().expect("arrival_first");
             let at = pending.at;
             self.arrival_floor = at;
-            self.submit(pending.spec);
+            self.submit(pending.ticket, pending.spec);
             self.try_schedule(system, at)?;
         } else if wake_first {
             let at = wake.expect("wake_first implies a wake");
@@ -723,6 +736,7 @@ impl Engine {
             );
             evicted.push(EvictedJob {
                 id: JobId(ji as u64),
+                ticket: job.ticket,
                 spec: JobSpec {
                     tenant: job.spec.tenant,
                     layers: job.spec.layers[job.layer..].to_vec(),
@@ -748,6 +762,7 @@ impl Engine {
             );
             evicted.push(EvictedJob {
                 id: JobId(next_id),
+                ticket: pending.ticket,
                 spec: pending.spec,
                 completed_layers: 0,
                 was_running: false,
@@ -777,9 +792,10 @@ impl Engine {
         self.queue.pending()
     }
 
-    /// Admission: validates, bounds the queue, registers the job. Takes
-    /// the spec by value — the hot path never clones a layer stream.
-    fn submit(&mut self, spec: JobSpec) {
+    /// Admission: validates, bounds the queue, registers the job under
+    /// its push `ticket`. Takes the spec by value — the hot path never
+    /// clones a layer stream.
+    fn submit(&mut self, ticket: u64, spec: JobSpec) {
         let would_be = self.jobs.len() as u64;
         self.sink.instant(
             "job/arrive",
@@ -834,6 +850,7 @@ impl Engine {
                 self.jobs.push(Job {
                     flops_total,
                     spec,
+                    ticket,
                     group: Vec::new(),
                     layer: 0,
                     members_left: 0,
@@ -883,7 +900,7 @@ impl Engine {
             let Reverse(pending) = self.arrivals.pop().expect("peeked above");
             let at = pending.at;
             self.arrival_floor = at;
-            self.submit(pending.spec);
+            self.submit(pending.ticket, pending.spec);
             self.try_schedule(system, at)?;
         }
         Ok(())
@@ -1064,7 +1081,7 @@ impl Engine {
         self.drain_arrivals(system, layer_end, bound)?;
         let job = &mut self.jobs[ji];
         job.finished = true;
-        let arrival = job.spec.arrival;
+        let (arrival, ticket) = (job.spec.arrival, job.ticket);
         let latency = layer_end.since(arrival);
         let flops = job.flops_total;
         let lease_range = job.lease_start..job.lease_start + job.group.len();
@@ -1104,6 +1121,7 @@ impl Engine {
         self.try_schedule(system, layer_end)?;
         Ok(Some(JobOutcome {
             job: JobId(ji as u64),
+            ticket,
             tenant,
             arrival,
             finished_at: layer_end,

@@ -261,32 +261,99 @@ fn evicting_a_drained_engine_returns_nothing() {
 }
 
 /// Evicting before *any* event is processed returns every push as a
-/// pending (unadmitted) arrival with the whole spec intact.
+/// pending (unadmitted) arrival with the whole spec intact, in
+/// `(arrival, push order)` order — here pushed out of arrival order with
+/// an equal-arrival tie — each carrying the ticket its push returned.
 #[test]
 fn evicting_before_first_event_returns_pending_arrivals_whole() {
     let tenants = Tenant::fleet(2);
     let config = ServeConfig::default();
     let mut engine = Engine::new(2, &tenants, &config);
-    let specs: Vec<JobSpec> = (0..3)
-        .map(|i| {
+    let specs: Vec<JobSpec> = [20u64, 0, 20, 10]
+        .iter()
+        .enumerate()
+        .map(|(i, &ns)| {
             JobSpec::single(
                 i % 2,
                 GemmPlusTask::gemm(32, 32 + 16 * i as u64, 32, Precision::Fp32),
-                SimTime::ZERO + SimDuration::from_ns(10 * i as u64),
+                SimTime::ZERO + SimDuration::from_ns(ns),
             )
         })
         .collect();
-    for spec in &specs {
-        engine.push(spec.clone());
-    }
+    let tickets: Vec<u64> = specs.iter().map(|s| engine.push(s.clone())).collect();
+    assert_eq!(tickets, [0, 1, 2, 3], "tickets are push indices");
     let evicted = engine.evict_all(SimTime::ZERO);
     assert_eq!(evicted.len(), specs.len());
-    for (i, (e, spec)) in evicted.iter().zip(&specs).enumerate() {
+    let pop_order = [1, 3, 0, 2];
+    for (i, (e, &p)) in evicted.iter().zip(&pop_order).enumerate() {
+        let spec = &specs[p];
         assert_eq!(e.id.0, i as u64, "pop order is admission order");
+        assert_eq!(
+            e.ticket, tickets[p],
+            "evicted job {i} carries its push ticket"
+        );
         assert!(!e.admitted);
         assert!(!e.was_running);
         assert_eq!(e.completed_layers, 0);
         assert_eq!(e.spec.flops(), spec.flops());
         assert_eq!(e.spec.arrival, spec.arrival);
+    }
+}
+
+/// Jobs pushed out of arrival order (with equal-arrival ties) are
+/// admitted in `(arrival, push order)` order, so their machine-local ids
+/// differ from their push order — yet every outcome and every evicted
+/// job, admitted or still pending, echoes the ticket its push returned.
+#[test]
+fn outcomes_and_evictions_echo_push_tickets() {
+    let tenants = Tenant::fleet(2);
+    let config = ServeConfig::default();
+    let arrivals_ns = [30u64, 10, 10, 0, 20, 10, 0, 30];
+    // Distinct flops per push identify each job's spec.
+    let specs: Vec<JobSpec> = arrivals_ns
+        .iter()
+        .enumerate()
+        .map(|(i, &ns)| {
+            JobSpec::single(
+                i % 2,
+                GemmPlusTask::gemm(64, 16 * (1 + i as u64), 64, Precision::Fp32),
+                SimTime::ZERO + SimDuration::from_ns(ns),
+            )
+        })
+        .collect();
+    let ticket_of = |flops: u64| specs.iter().position(|s| s.flops() == flops).unwrap() as u64;
+
+    let mut system = small_system(1);
+    let mut engine = Engine::new(1, &tenants, &config);
+    for (i, spec) in specs.iter().enumerate() {
+        assert_eq!(engine.push(spec.clone()), i as u64);
+    }
+    let mut outcomes = Vec::new();
+    while engine.next_event().is_some() {
+        outcomes.extend(engine.advance(&mut system, None).expect("job completes"));
+    }
+    assert_eq!(outcomes.len(), specs.len());
+    for o in &outcomes {
+        assert_eq!(o.ticket, ticket_of(o.flops), "job {} outcome", o.job.0);
+    }
+    assert!(
+        outcomes.iter().any(|o| o.ticket != o.job.0),
+        "admission order differs from push order"
+    );
+
+    // Mid-episode: the 0/10/20 ns arrivals are admitted, the 30 ns ones
+    // still pending.
+    let cut = SimTime::ZERO + SimDuration::from_ns(25);
+    let (mut subject, _system) = step_to(1, &tenants, &config, &specs, cut);
+    let evicted = subject.evict_all(cut);
+    assert_eq!(evicted.len(), specs.len(), "nothing completes by the cut");
+    assert!(evicted.iter().any(|e| e.admitted) && evicted.iter().any(|e| !e.admitted));
+    for e in &evicted {
+        assert_eq!(
+            e.ticket,
+            ticket_of(e.spec.flops()),
+            "evicted job {}",
+            e.id.0
+        );
     }
 }

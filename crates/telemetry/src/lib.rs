@@ -11,10 +11,9 @@
 //!   machine, one thread row per node) for chrome://tracing or Perfetto.
 //!   The trace carries its **own** fingerprint: an order-sensitive fold of
 //!   every record, separate from schedule/fault fingerprints.
-//! * [`Log2Histogram`] / [`MetricSet`] — fixed-bucket log2 histograms for
-//!   latency and queue-depth distributions. All-integer bucketing and
-//!   percentiles, mergeable across machines and engine incarnations, paired
-//!   with [`maco_sim::Stats`] counters/gauges in a [`MetricSet`].
+//! * [`Log2Histogram`] — fixed-bucket log2 histograms for latency and
+//!   queue-depth distributions. All-integer bucketing and percentiles,
+//!   mergeable across machines and engine incarnations.
 //! * [`PhaseProfile`] — wall-clock phase timers for the bench harness
 //!   (emitted as flat `"phase_<name>_ms"` fields in BENCH_perf*.json).
 //!
@@ -29,12 +28,10 @@
 
 pub mod chrome;
 pub mod hist;
-pub mod metrics;
 pub mod profile;
 pub mod trace;
 
 pub use chrome::{validate_chrome_json, ChromeSummary};
 pub use hist::Log2Histogram;
-pub use metrics::MetricSet;
 pub use profile::PhaseProfile;
 pub use trace::{Trace, TraceRecord, TraceSink, ROUTER_TRACK, SCHED_ROW};
