@@ -10,9 +10,6 @@ use maco_mmae::systolic::SystolicArray;
 use maco_mmae::tiling::block_passes;
 use maco_mmae::translate::TranslationContext;
 use maco_mmae::{Mmae, MmaeConfig};
-use maco_noc::packet::{Packet, PacketKind};
-use maco_noc::router::MeshSim;
-use maco_noc::topology::MeshShape;
 use maco_sim::SimDuration;
 use maco_vm::matlb::{Matlb, TileAccessPattern};
 use maco_vm::page_table::{AddressSpace, PageFlags};
@@ -182,24 +179,6 @@ fn bench_translate(c: &mut Criterion) {
     bench_translate_pass(c, "mmae/translate_pass_1024_fp64", 1024, Precision::Fp64);
 }
 
-fn bench_noc(c: &mut Criterion) {
-    c.bench_function("noc/flit_router_64_packets", |bench| {
-        bench.iter(|| {
-            let shape = MeshShape::new(4, 4);
-            let mut sim = MeshSim::new(shape, 2, 4);
-            for i in 0..64usize {
-                sim.inject(Packet::new(
-                    shape.node_at(i % 16),
-                    shape.node_at((i * 7) % 16),
-                    PacketKind::ReadResp,
-                    64,
-                ));
-            }
-            black_box(sim.run_until_drained(100_000).unwrap().len())
-        })
-    });
-}
-
 fn bench_system(c: &mut Criterion) {
     use maco_core::system::{MacoSystem, SystemConfig};
     c.bench_function("system/single_node_gemm_256", |bench| {
@@ -222,7 +201,6 @@ criterion_group!(
     bench_page_table,
     bench_matlb,
     bench_translate,
-    bench_noc,
     bench_system
 );
 criterion_main!(benches);

@@ -13,15 +13,14 @@
 //! | `fig7` | Fig. 7 — multi-node scalability |
 //! | `fig8` | Fig. 8 — DNN throughput vs the four comparators |
 //! | `ablation_tiling` | (extension) tile-size sensitivity |
-//! | `ablation_noc` | (extension) flit-level router vs analytic fabric |
 //!
 //! Run any of them with `cargo run --release -p maco-bench --bin <target>`.
 //! Set `MACO_QUICK=1` to trim the largest sweep points (useful on slow
 //! machines; the full sweeps match the paper's axes).
 //!
 //! The `benches/` directory holds Criterion micro-benchmarks of the
-//! simulator substrate itself (systolic model, TLB, cache, NoC router,
-//! page tables, end-to-end small GEMM).
+//! simulator substrate itself (systolic model, TLB, cache, page tables,
+//! end-to-end small GEMM).
 
 /// Formats one row of an aligned text table.
 pub fn row(cells: &[String], widths: &[usize]) -> String {

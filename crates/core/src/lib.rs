@@ -1,14 +1,14 @@
 //! # maco-core — the MACO loosely-coupled multi-core processor
 //!
 //! The paper's primary contribution, assembled from the substrate crates:
-//! up to 16 compute nodes (CPU core + MMAE) on a 4×4 mesh with distributed,
-//! lockable L3 and directory-based coherence (Section III.A), programmed
+//! up to 16 compute nodes (CPU core + MMAE) on a 4×4 mesh with a
+//! distributed, lockable L3 behind CCM slices (Section III.A), programmed
 //! through MPAIS, with predictive address translation (Section IV.A) and
 //! the GEMM⁺ stash-lock-overlap mapping scheme (Section IV.B).
 //!
 //! * [`physical`] — the Table IV area/power/peak-performance model.
-//! * [`node`] — one compute node: CPU + MMAE + address space + MPAIS task
-//!   round-trip.
+//! * [`node`] — one compute node driven through the MPAIS task round trip
+//!   (`MA_CFG`, `MA_STATE`, `MA_CLEAR`), priced by a 1-node [`system`].
 //! * [`system`] — the full-system timing simulator: nodes interleaved over
 //!   the shared NoC fabric, CCM slices and DRAM (Figs. 6, 7, 8).
 //! * [`gemm_plus`] — the GEMM⁺ mapping scheme: multi-node tiling

@@ -1,236 +1,98 @@
-//! A single compute node: CPU core + MMAE + address space.
+//! A single compute node driven through the MPAIS protocol.
 //!
-//! [`ComputeNode`] is the standalone (no NoC) node model used by examples,
-//! unit tests and the Fig. 3 exception scenarios: it wires the complete
-//! MPAIS round trip — `MA_CFG` on the CPU allocates an MTQ entry, the
-//! parameter block lands in the MMAE's STQ, the engine executes (or raises
-//! an exception), and the STQ responds to the MTQ where `MA_STATE` /
-//! `MA_CLEAR` observe the Fig. 3 state machine. The node's memory side is a
-//! private slice-less L3 + DRAM stack, enough for the Fig. 6 single-node
-//! style of run without the full-system event loop.
+//! [`ComputeNode`] is one process's view of one compute node, used by
+//! examples, tests and the Fig. 3 exception scenarios: it wires the
+//! complete MPAIS round trip — `MA_CFG` on the CPU allocates an MTQ entry,
+//! the parameter block lands in the MMAE's STQ, the engine executes (or
+//! raises an exception), and the STQ responds to the MTQ where `MA_STATE` /
+//! `MA_CLEAR` observe the Fig. 3 state machine.
+//!
+//! The node has no timing model of its own. It owns a private 1-node
+//! [`MacoSystem`] and steps each task through [`MacoSystem::begin_gemm`]
+//! and the system's tile-step pricing, so a task costs exactly what it
+//! costs on a 1-node system; only the `MA_STATE` poll is left to the
+//! caller.
 
 use maco_cpu::core::CpuCore;
-use maco_cpu::CpuConfig;
 use maco_isa::mtq::{Maid, MtqError, QueryOutcome};
 use maco_isa::params::GemmParams;
-use maco_isa::stq::{SlaveTaskQueue, StqError, TaskKind};
-use maco_isa::{Asid, ExceptionType, Precision};
-use maco_mem::dram::{Dram, DramConfig};
-use maco_mem::l3::{DistributedL3, L3Config};
-use maco_mem::port::MemoryPort;
-use maco_mmae::config::MmaeConfig;
-use maco_mmae::engine::TaskReport;
-use maco_mmae::translate::TranslationContext;
+use maco_isa::{Asid, Precision};
 use maco_mmae::Mmae;
-use maco_sim::{SimDuration, SimTime};
-use maco_vm::matlb::Matlb;
-use maco_vm::page_table::{AddressSpace, PageFlags, TranslateFault};
-use maco_vm::{PhysAddr, VirtAddr, PAGE_SIZE};
+use maco_sim::SimTime;
+use maco_vm::page_table::TranslateFault;
 
-/// A memory port backed by the node's view of L3 + DRAM.
-#[derive(Debug)]
-pub struct NodePort {
-    l3: DistributedL3,
-    dram: Dram,
-    l3_latency: SimDuration,
-    l3_gbps: f64,
-}
+use crate::system::{MacoSystem, NodeReport, SystemConfig, TaskAdmitError};
 
-impl NodePort {
-    fn new(l3: L3Config, dram: DramConfig) -> Self {
-        NodePort {
-            l3: DistributedL3::new(l3),
-            dram: Dram::new(dram),
-            l3_latency: SimDuration::from_ns(30),
-            l3_gbps: 64.0,
-        }
-    }
-
-    /// The L3 model (stash/lock entry point).
-    pub fn l3_mut(&mut self) -> &mut DistributedL3 {
-        &mut self.l3
-    }
-
-    fn stream_time(&self, bytes: u64) -> SimDuration {
-        SimDuration::from_ns_f64(bytes as f64 / self.l3_gbps)
-    }
-}
-
-impl MemoryPort for NodePort {
-    fn read(&mut self, pa: PhysAddr, bytes: u64, now: SimTime) -> SimTime {
-        // Bulk reads are priced at L3 streaming when resident, DRAM
-        // otherwise; residency sampled at the transfer's head line.
-        if self.l3.lookup(pa) {
-            now + self.l3_latency + self.stream_time(bytes)
-        } else {
-            self.dram.access_bulk(pa, bytes, now)
-        }
-    }
-
-    fn write(&mut self, pa: PhysAddr, bytes: u64, now: SimTime) -> SimTime {
-        let _ = self.l3.access_write(pa);
-        now + self.l3_latency + self.stream_time(bytes)
-    }
-}
-
-/// One MACO compute node.
-#[derive(Debug)]
+/// One MACO compute node, owned by one process.
 pub struct ComputeNode {
-    cpu: CpuCore,
-    mmae: Mmae,
-    matlb: Matlb,
-    stq: SlaveTaskQueue,
-    port: NodePort,
-    space: AddressSpace,
+    system: MacoSystem,
     asid: Asid,
-    next_frame: u64,
-    prediction: bool,
 }
 
 impl ComputeNode {
-    /// Creates a node with default (paper) configurations for process
+    /// Creates a node with the default (paper) configuration for process
     /// `asid`.
     pub fn new(asid: Asid) -> Self {
-        ComputeNode::with_configs(asid, CpuConfig::default(), MmaeConfig::default())
+        ComputeNode::with_config(asid, SystemConfig::single_node())
     }
 
-    /// Creates a node with explicit configurations.
-    pub fn with_configs(asid: Asid, cpu: CpuConfig, mmae: MmaeConfig) -> Self {
+    fn with_config(asid: Asid, config: SystemConfig) -> Self {
+        debug_assert_eq!(config.nodes, 1, "a compute node is a 1-node system");
         ComputeNode {
-            cpu: CpuCore::new(cpu),
-            matlb: Matlb::new(mmae.matlb_entries),
-            stq: SlaveTaskQueue::new(mmae.stq_entries),
-            mmae: Mmae::new(mmae),
-            port: NodePort::new(
-                L3Config {
-                    slices: 1,
-                    ..L3Config::default()
-                },
-                DramConfig::default(),
-            ),
-            space: AddressSpace::new(),
+            system: MacoSystem::new(config),
             asid,
-            next_frame: 0x1_0000_0000,
-            prediction: true,
         }
-    }
-
-    /// Enables/disables predictive address translation.
-    pub fn set_prediction(&mut self, on: bool) {
-        self.prediction = on;
     }
 
     /// The node's CPU core.
     pub fn cpu(&self) -> &CpuCore {
-        &self.cpu
+        self.system.cpu(0)
     }
 
-    /// The node's MMAE.
-    pub fn mmae(&self) -> &Mmae {
-        &self.mmae
-    }
-
-    /// Maps `bytes` of fresh memory at `va` in the node's address space.
+    /// Maps `[va, va+bytes)` in the node's address space. Mapping the same
+    /// `va` again only grows the region.
     ///
     /// # Errors
     ///
-    /// Propagates [`TranslateFault::AlreadyMapped`] on overlap.
+    /// Propagates [`TranslateFault::AlreadyMapped`] on overlap with
+    /// another region.
     pub fn map(&mut self, va: u64, bytes: u64) -> Result<(), TranslateFault> {
-        let rounded = bytes.div_ceil(PAGE_SIZE) * PAGE_SIZE;
-        self.space.map_range(
-            VirtAddr::new(va),
-            PhysAddr::new(self.next_frame),
-            rounded,
-            PageFlags::rw(),
-        )?;
-        self.next_frame += rounded;
-        Ok(())
+        self.system.ensure_mapped(va, bytes)
     }
 
-    /// Issues `MA_STASH`-style prefetch-and-lock of `[va, va+bytes)` into
-    /// the node's L3.
+    /// Full MPAIS round trip for a GEMM task on a fresh episode of the
+    /// shared resources: `MA_CFG` at `start` → STQ → execution → response.
+    /// The caller then issues `MA_STATE` ([`ComputeNode::query_release`]).
+    /// Returns the MAID and, on clean completion, the task's report; its
+    /// `elapsed` counts from simulated time zero, as every
+    /// [`MacoSystem`] report does.
+    ///
+    /// A translation fault during execution takes the Fig. 3 exception
+    /// path: the MTQ entry carries
+    /// [`maco_isa::ExceptionType::TranslationFault`] and the report is
+    /// `None`. So does a parameter block the STQ rejects, with
+    /// [`maco_isa::ExceptionType::InvalidConfig`].
     ///
     /// # Errors
     ///
-    /// Returns a translation fault for unmapped regions; lock-quota
-    /// exhaustion surfaces as `Ok(0)` lines… no — quota errors are
-    /// propagated as [`ExceptionType::BufferOverflow`]-class failures by
-    /// the caller; this method returns the fetched line count.
-    pub fn stash(&mut self, va: u64, bytes: u64, lock: bool) -> Result<u64, TranslateFault> {
-        let pa = self.space.translate(VirtAddr::new(va))?;
-        self.port
-            .l3
-            .stash(pa, bytes, lock)
-            .map_err(|_| TranslateFault::NotMapped {
-                va: VirtAddr::new(va),
-                level: 3,
-            })
-    }
-
-    /// Full MPAIS round trip for a GEMM task: `MA_CFG` → STQ → execution →
-    /// response → (caller issues `MA_STATE`). Returns the MAID and, on
-    /// clean completion, the engine's report.
-    ///
-    /// A translation fault during execution is converted into the Fig. 3
-    /// exception path: the MTQ entry carries
-    /// [`ExceptionType::TranslationFault`] and the report is `None`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NodeError`] for MTQ/STQ resource exhaustion.
+    /// Returns [`TaskAdmitError`] for MTQ/STQ resource exhaustion.
     pub fn run_gemm(
         &mut self,
         params: &GemmParams,
         start: SimTime,
-    ) -> Result<(Maid, Option<TaskReport>), NodeError> {
-        let (maid, _issue) = self.cpu.issue_ma_cfg(self.asid).map_err(NodeError::Mtq)?;
-        if let Some(resp) = self
-            .stq
-            .submit(maid, TaskKind::Gemm, &params.pack())
-            .map_err(NodeError::Stq)?
-        {
-            // Parameter parse failure: immediate InvalidConfig exception.
-            self.cpu
-                .mmae_response(resp.maid, resp.exception)
-                .map_err(NodeError::Mtq)?;
-            return Ok((maid, None));
-        }
-
-        let (stlb, walker) = self.cpu.mmu_mut().shared_parts_mut();
-        let mut ctx = TranslationContext {
-            asid: self.asid,
-            space: &self.space,
-            stlb,
-            walker,
-            matlb: if self.prediction {
-                Some(&mut self.matlb)
-            } else {
-                None
-            },
-            walk_read_latency: SimDuration::from_ns(6),
+    ) -> Result<(Maid, Option<NodeReport>), TaskAdmitError> {
+        self.system.reset_shared_resources();
+        let mut task = match self.system.begin_gemm(0, self.asid, *params, start) {
+            Ok(task) => task,
+            Err(TaskAdmitError::Rejected(maid)) => return Ok((maid, None)),
+            Err(e) => return Err(e),
         };
-        let result = self
-            .mmae
-            .run_gemm_timed(params, &mut ctx, &mut self.port, start);
-        match result {
-            Ok(report) => {
-                let resp = self.stq.complete_active(None).map_err(NodeError::Stq)?;
-                self.cpu
-                    .mmae_response(resp.maid, None)
-                    .map_err(NodeError::Mtq)?;
-                Ok((maid, Some(report)))
+        let report = loop {
+            if let Some(outcome) = self.system.execute_step(&mut task).transpose() {
+                break outcome.ok();
             }
-            Err(_fault) => {
-                let resp = self
-                    .stq
-                    .complete_active(Some(ExceptionType::TranslationFault))
-                    .map_err(NodeError::Stq)?;
-                self.cpu
-                    .mmae_response(resp.maid, resp.exception)
-                    .map_err(NodeError::Mtq)?;
-                Ok((maid, None))
-            }
-        }
+        };
+        Ok((Maid::new(task.maid()), report))
     }
 
     /// Software-side `MA_STATE` for a previously submitted task.
@@ -240,7 +102,10 @@ impl ComputeNode {
     /// Propagates [`MtqError`].
     pub fn query_release(&mut self, maid: Maid) -> Result<QueryOutcome, MtqError> {
         let asid = self.asid;
-        self.cpu.issue_ma_state(maid, asid).map(|(o, _)| o)
+        self.system
+            .cpu_mut(0)
+            .issue_ma_state(maid, asid)
+            .map(|(o, _)| o)
     }
 
     /// Software-side `MA_CLEAR` (exception recovery).
@@ -249,7 +114,7 @@ impl ComputeNode {
     ///
     /// Propagates [`MtqError`].
     pub fn clear(&mut self, maid: Maid) -> Result<(), MtqError> {
-        self.cpu.issue_ma_clear(maid).map(|_| ())
+        self.system.cpu_mut(0).issue_ma_clear(maid).map(|_| ())
     }
 
     /// Functional GEMM through the node's engine (tiled through the SA).
@@ -264,33 +129,14 @@ impl ComputeNode {
         k: usize,
         precision: Precision,
     ) -> Vec<f64> {
-        self.mmae.gemm_functional(a, b, c, m, n, k, precision)
+        Mmae::new(self.system.config().mmae).gemm_functional(a, b, c, m, n, k, precision)
     }
 }
-
-/// Node-level resource errors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NodeError {
-    /// Master-task-queue error.
-    Mtq(MtqError),
-    /// Slave-task-queue error.
-    Stq(StqError),
-}
-
-impl std::fmt::Display for NodeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            NodeError::Mtq(e) => write!(f, "{e}"),
-            NodeError::Stq(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for NodeError {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use maco_isa::ExceptionType;
 
     fn params(n: u64) -> GemmParams {
         let bytes = n * n * 8;
@@ -307,15 +153,15 @@ mod tests {
         .unwrap()
     }
 
-    fn mapped_node(n: u64) -> ComputeNode {
-        let mut node = ComputeNode::new(Asid::new(1));
+    fn mapped_node(n: u64, config: SystemConfig) -> ComputeNode {
+        let mut node = ComputeNode::with_config(Asid::new(1), config);
         node.map(0x1000_0000, 4 * n * n * 8).unwrap();
         node
     }
 
     #[test]
     fn clean_task_lifecycle_end_to_end() {
-        let mut node = mapped_node(128);
+        let mut node = mapped_node(128, SystemConfig::single_node());
         let (maid, report) = node.run_gemm(&params(128), SimTime::ZERO).unwrap();
         let report = report.expect("clean completion");
         assert!(report.efficiency() > 0.3);
@@ -341,15 +187,7 @@ mod tests {
         assert_eq!(node.cpu().mtq().in_use(), 1);
         node.clear(maid).unwrap();
         assert_eq!(node.cpu().mtq().in_use(), 0);
-    }
-
-    #[test]
-    fn stash_populates_l3_and_speeds_reads() {
-        let mut node = mapped_node(256);
-        let fetched = node.stash(0x1000_0000, 64 * 1024, true).unwrap();
-        assert_eq!(fetched, 1024, "64 KB = 1024 lines");
-        // Restash is free.
-        assert_eq!(node.stash(0x1000_0000, 64 * 1024, true).unwrap(), 0);
+        assert!(node.system.stq(0).is_empty(), "the STQ slot was released");
     }
 
     #[test]
@@ -365,14 +203,62 @@ mod tests {
 
     #[test]
     fn prediction_toggle_changes_translation_behaviour() {
-        let mut with = mapped_node(512);
+        let mut with = mapped_node(512, SystemConfig::single_node());
         let (_, r1) = with.run_gemm(&params(512), SimTime::ZERO).unwrap();
-        let mut without = mapped_node(512);
-        without.set_prediction(false);
+        let mut without = mapped_node(
+            512,
+            SystemConfig {
+                prediction: false,
+                ..SystemConfig::single_node()
+            },
+        );
         let (_, r2) = without.run_gemm(&params(512), SimTime::ZERO).unwrap();
         let (r1, r2) = (r1.unwrap(), r2.unwrap());
         assert_eq!(r1.translation.demand_walks, 0);
         assert!(r2.translation.demand_walks > 0);
         assert!(r1.elapsed <= r2.elapsed);
+    }
+
+    /// The node prices a task exactly as a 1-node system's own runner
+    /// does, cold and on warm translation state, with prediction on and
+    /// off.
+    #[test]
+    fn run_gemm_matches_a_one_node_system() {
+        let n = 256;
+        for prediction in [true, false] {
+            let config = SystemConfig {
+                prediction,
+                ..SystemConfig::single_node()
+            };
+            let mut system = MacoSystem::new(config.clone());
+            let params = system.map_gemm(n, n, n, Precision::Fp64).unwrap();
+            let mut node = ComputeNode::with_config(Asid::new(5), config);
+            let e = params.elem_bytes();
+            for (va, bytes) in [
+                (params.a_addr, params.m * params.k * e),
+                (params.b_addr, params.k * params.n * e),
+                (params.c_addr, params.m * params.n * e),
+                (params.y_addr, params.m * params.n * e),
+            ] {
+                node.map(va, bytes).unwrap();
+            }
+            for run in 0..2 {
+                let want = system
+                    .run_parallel_gemm(n, n, n, Precision::Fp64)
+                    .unwrap()
+                    .nodes[0];
+                let (maid, got) = node.run_gemm(&params, SimTime::ZERO).unwrap();
+                let got = got.expect("clean completion");
+                let case = format!("prediction {prediction}, run {run}");
+                assert_eq!(got.elapsed, want.elapsed, "{case}");
+                assert_eq!(got.flops, want.flops, "{case}");
+                assert_eq!(got.translation, want.translation, "{case}");
+                assert_eq!(got.dma_bytes, want.dma_bytes, "{case}");
+                assert_eq!(
+                    node.query_release(maid).unwrap(),
+                    QueryOutcome::Done { exception: None }
+                );
+            }
+        }
     }
 }

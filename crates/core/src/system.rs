@@ -2,20 +2,25 @@
 //!
 //! Runs 1–16 compute nodes concurrently over the shared resources of
 //! Section III.A: the mesh fabric (per-link bandwidth), the CCM slices
-//! (directory + L3 service occupancy) and the DRAM channels. Nodes advance
-//! tile-step by tile-step through a global event loop in simulated-time
-//! order, so contention between nodes emerges from resource queuing — this
-//! is the machinery behind Fig. 6 (translation prediction), Fig. 7
-//! (scalability) and Fig. 8 (DNN throughput).
+//! (lookup latency + L3 service occupancy, with no coherence directory)
+//! and the DRAM channels. Nodes advance tile-step by tile-step through a
+//! global event loop in simulated-time order, so contention between nodes
+//! emerges from resource queuing — this is the machinery behind Fig. 6
+//! (translation prediction), Fig. 7 (scalability) and Fig. 8 (DNN
+//! throughput).
+//!
+//! `MacoSystem::price_tile_step` is the simulator's one GEMM timing
+//! model: every runner, the serving layer, the fleet and the standalone
+//! [`ComputeNode`](crate::node::ComputeNode) price their tiles through it.
 
 use std::fmt;
 
 use maco_cpu::core::CpuCore;
 use maco_cpu::CpuConfig;
-use maco_isa::mtq::MtqError;
+use maco_isa::mtq::{Maid, MtqError};
 use maco_isa::params::GemmParams;
 use maco_isa::stq::{SlaveTaskQueue, StqError, TaskKind};
-use maco_isa::{Asid, Precision};
+use maco_isa::{Asid, ExceptionType, Precision};
 use maco_mem::dram::{Dram, DramConfig};
 use maco_mem::l3::L3Config;
 use maco_mmae::config::MmaeConfig;
@@ -297,6 +302,12 @@ impl MacoSystem {
         &self.nodes[node].cpu
     }
 
+    /// Write access to a node's CPU, for the software side of the MPAIS
+    /// protocol (`MA_STATE`, `MA_CLEAR`).
+    pub(crate) fn cpu_mut(&mut self, node: usize) -> &mut CpuCore {
+        &mut self.nodes[node].cpu
+    }
+
     /// Read access to a node's slave task queue (occupancy inspection).
     pub fn stq(&self, node: usize) -> &SlaveTaskQueue {
         &self.nodes[node].stq
@@ -364,8 +375,9 @@ impl MacoSystem {
         s
     }
 
-    /// Ensures `[base, base+bytes)` is mapped in the shared layout.
-    fn ensure_mapped(&mut self, base: u64, bytes: u64) -> Result<(), TranslateFault> {
+    /// Ensures `[base, base+bytes)` is mapped in the shared layout: a
+    /// region grows from `base` and is never remapped.
+    pub(crate) fn ensure_mapped(&mut self, base: u64, bytes: u64) -> Result<(), TranslateFault> {
         let have = self.mapped.get(&base).copied().unwrap_or(0);
         if bytes <= have {
             return Ok(());
@@ -517,28 +529,51 @@ impl MacoSystem {
     ///
     /// # Errors
     ///
-    /// Propagates [`TranslateFault`]s raised by the pass translation.
+    /// Propagates [`TranslateFault`]s raised by the pass translation. The
+    /// task is then finished through the Fig. 3 exception path: its MTQ
+    /// entry holds [`ExceptionType::TranslationFault`] until `MA_CLEAR`.
     pub fn step_gemm(
         &mut self,
         task: &mut InFlightGemm,
     ) -> Result<Option<NodeReport>, TranslateFault> {
-        debug_assert!(!task.done, "stepping a completed task");
-        match self.advance_step(&mut task.run)? {
-            Some(report) => {
-                // MMAE responds to the MTQ; software then polls MA_STATE,
-                // observes Done and releases the entry (Fig. 3 state 2).
-                let node = &mut self.nodes[task.run.node];
-                let resp = node.stq.complete_active(None).expect("task was active");
-                debug_assert_eq!(resp.maid.index(), task.run.maid);
-                node.cpu.mmae_response(resp.maid, None).expect("running");
-                node.cpu
-                    .issue_ma_state(resp.maid, task.asid)
-                    .expect("entry exists");
-                task.done = true;
-                Ok(Some(report))
-            }
-            None => Ok(None),
+        let report = self.execute_step(task)?;
+        if report.is_some() {
+            // Software polls MA_STATE, observes Done and releases the
+            // entry (Fig. 3 state ②).
+            self.nodes[task.run.node]
+                .cpu
+                .issue_ma_state(Maid::new(task.run.maid), task.asid)
+                .expect("entry exists");
         }
+        Ok(report)
+    }
+
+    /// [`MacoSystem::step_gemm`] up to the MMAE's response: a finished
+    /// task's STQ slot completes (with [`ExceptionType::TranslationFault`]
+    /// on a fault) and the MTQ entry turns `Done`, left for the caller's
+    /// `MA_STATE` or `MA_CLEAR`.
+    pub(crate) fn execute_step(
+        &mut self,
+        task: &mut InFlightGemm,
+    ) -> Result<Option<NodeReport>, TranslateFault> {
+        debug_assert!(!task.done, "stepping a completed task");
+        let result = self.advance_step(&mut task.run);
+        let exception = match result {
+            Ok(None) => return result,
+            Ok(Some(_)) => None,
+            Err(_) => Some(ExceptionType::TranslationFault),
+        };
+        let node = &mut self.nodes[task.run.node];
+        let resp = node
+            .stq
+            .complete_active(exception)
+            .expect("task was active");
+        debug_assert_eq!(resp.maid.index(), task.run.maid);
+        node.cpu
+            .mmae_response(resp.maid, resp.exception)
+            .expect("running");
+        task.done = true;
+        result
     }
 
     /// Runs the same independent `m×n×k` GEMM on every active node
@@ -1143,7 +1178,7 @@ pub enum TaskAdmitError {
     Stq(StqError),
     /// The STQ rejected the parameter block; the MTQ entry holds the
     /// exception until `MA_CLEAR` (Fig. 3 state ④).
-    Rejected(maco_isa::mtq::Maid),
+    Rejected(Maid),
 }
 
 impl fmt::Display for TaskAdmitError {
@@ -1287,6 +1322,71 @@ mod tests {
     }
 
     #[test]
+    fn timed_run_reports_high_efficiency_with_prediction() {
+        let n = 512;
+        let mut sys = MacoSystem::new(small_config(1));
+        let r = sys.run_parallel_gemm(n, n, n, Precision::Fp64).unwrap();
+        assert!(
+            r.nodes[0].translation.stall.is_zero(),
+            "prediction hides walks"
+        );
+        let eff = r.nodes[0].efficiency();
+        assert!(eff > 0.9, "efficiency {eff} too low");
+        assert!(eff <= 1.0, "efficiency {eff} above peak");
+    }
+
+    #[test]
+    fn report_metrics_are_consistent() {
+        let n = 64;
+        let mut sys = MacoSystem::new(small_config(1));
+        let r = sys.run_parallel_gemm(n, n, n, Precision::Fp64).unwrap();
+        let node = &r.nodes[0];
+        assert_eq!(node.flops, 2 * n * n * n);
+        assert!(node.gflops() > 0.0);
+        assert!(node.dma_bytes >= 3 * n * n * 8, "A, B and C each stream in");
+    }
+
+    /// Fig. 3 exception path: a task over unmapped memory faults, frees
+    /// its STQ slot and leaves its MTQ entry `Done` with the exception
+    /// until `MA_CLEAR`; once mapped, the same task runs cleanly.
+    #[test]
+    fn translation_fault_completes_the_task_with_an_exception() {
+        use maco_isa::mtq::QueryOutcome;
+
+        let mut sys = MacoSystem::new(small_config(1));
+        let asid = sys.node_asid(0);
+        // The shared layout's descriptor, not yet mapped in `sys`.
+        let params = MacoSystem::new(small_config(1))
+            .map_gemm(64, 64, 64, Precision::Fp64)
+            .unwrap();
+        let mut task = sys.begin_gemm(0, asid, params, SimTime::ZERO).unwrap();
+        let maid = Maid::new(task.maid());
+        assert!(sys.step_gemm(&mut task).is_err());
+        assert!(task.is_done());
+        let (outcome, _) = sys.cpu_mut(0).issue_ma_state(maid, asid).unwrap();
+        assert_eq!(
+            outcome,
+            QueryOutcome::Done {
+                exception: Some(ExceptionType::TranslationFault)
+            }
+        );
+        sys.cpu_mut(0).issue_ma_clear(maid).unwrap();
+        assert_eq!(sys.cpu(0).mtq().in_use(), 0);
+        assert!(sys.stq(0).is_empty());
+
+        assert_eq!(sys.map_gemm(64, 64, 64, Precision::Fp64).unwrap(), params);
+        let mut task = sys.begin_gemm(0, asid, params, SimTime::ZERO).unwrap();
+        let report = loop {
+            if let Some(report) = sys.step_gemm(&mut task).unwrap() {
+                break report;
+            }
+        };
+        assert_eq!(report.flops, 2 * 64 * 64 * 64);
+        assert_eq!(sys.cpu(0).mtq().in_use(), 0);
+        assert!(sys.stq(0).is_empty());
+    }
+
+    #[test]
     fn prediction_improves_large_stride_gemm() {
         let n = 1024;
         let mut with = MacoSystem::new(small_config(1));
@@ -1301,6 +1401,27 @@ mod tests {
         assert!(gap > 0.01, "prediction gap {gap} at n={n}");
         assert!(r_without.nodes[0].translation.demand_walks > 0);
         assert_eq!(r_with.nodes[0].translation.demand_walks, 0);
+    }
+
+    /// Demand walks stall a GEMM whose rows span many pages; a short,
+    /// wide shape keeps the strides of the n=1024 case at a fraction of
+    /// its work.
+    #[test]
+    fn prediction_beats_no_prediction_on_large_strides() {
+        let (m, n, k) = (128, 1024, 1024);
+        let mut cfg = small_config(1);
+        let with = MacoSystem::new(cfg.clone())
+            .run_parallel_gemm(m, n, k, Precision::Fp64)
+            .unwrap();
+        cfg.prediction = false;
+        let without = MacoSystem::new(cfg)
+            .run_parallel_gemm(m, n, k, Precision::Fp64)
+            .unwrap();
+
+        assert!(with.nodes[0].translation.stall.is_zero());
+        assert!(without.nodes[0].translation.stall > SimDuration::ZERO);
+        let gap = with.avg_efficiency() - without.avg_efficiency();
+        assert!(gap > 0.01, "gap {gap} should be visible at these strides");
     }
 
     #[test]

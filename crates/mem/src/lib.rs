@@ -2,24 +2,24 @@
 //!
 //! MACO's memory system (Section III.A): private L1/L2 caches per CPU core
 //! (Table I), a distributed L3 "system cache" shared by all compute nodes
-//! and managed by **cache-coherence managers (CCMs)** running a
-//! directory-based MOESI protocol, and external DRAM behind memory
-//! controllers on the NoC. The paper's GEMM⁺ mapping scheme additionally
-//! requires **stash** (prefetch into L3) and **lock** (pin against
-//! eviction) operations issued through the CCM (Section IV.B, Fig. 5(b)).
+//! and fronted by **cache-coherence managers (CCMs)**, and external DRAM
+//! behind memory controllers on the NoC. The paper's GEMM⁺ mapping scheme
+//! additionally requires **stash** (prefetch into L3) and **lock** (pin
+//! against eviction) operations issued through the CCM (Section IV.B,
+//! Fig. 5(b)).
+//!
+//! The timing model (`maco_core::system::MacoSystem::price_tile_step`)
+//! prices each CCM slice as a latency-bandwidth resource. There is no
+//! coherence directory, so coherence traffic is not priced. Of this
+//! crate the timing model reads [`dram`] and the [`L3Config`] geometry;
+//! [`cache`] and the functional stash/lock behaviour of [`l3`] are
+//! standalone models.
 //!
 //! * [`cache`] — a generic set-associative, write-back cache model with
 //!   true-LRU replacement and line locking.
-//! * [`moesi`] — MOESI line states and the directory entry state machine
-//!   with its coherence invariants.
-//! * [`directory`] — the CCM: a full-map directory over the L3 slice it
-//!   manages.
 //! * [`l3`] — the distributed L3: address-interleaved slices with stash and
 //!   lock support.
 //! * [`dram`] — channel-interleaved DRAM with latency + bandwidth queuing.
-//! * [`port`] — the [`port::MemoryPort`] trait through which
-//!   DMA engines and walkers price physical accesses, plus a fixed-latency
-//!   test double.
 //!
 //! # Example: a stash that locks lines in L3
 //!
@@ -38,18 +38,12 @@
 //! ```
 
 pub mod cache;
-pub mod directory;
 pub mod dram;
 pub mod l3;
-pub mod moesi;
-pub mod port;
 
 pub use cache::{AccessOutcome, SetAssocCache};
-pub use directory::{CoherenceOp, Directory, DirectoryError};
 pub use dram::{Dram, DramConfig};
 pub use l3::{DistributedL3, L3Config, StashError};
-pub use moesi::{LineState, MoesiError};
-pub use port::{FixedLatencyMemory, MemoryPort};
 
 /// Cache-line size used throughout MACO (bytes).
 pub const LINE_BYTES: u64 = 64;

@@ -21,10 +21,14 @@
 //! * [`translate`] — the per-transfer translation path: mATLB prefetch →
 //!   shared TLB → page-table walker, producing the stall the Fig. 6
 //!   experiment measures.
-//! * [`dma`] — DMA transfer cost: data streaming overlapped (or not) with
-//!   translation.
-//! * [`engine`] — the engine facade: accepts STQ tasks, schedules tiles,
-//!   raises MTQ exceptions.
+//! * [`engine`] — the engine facade: pass translation over the tiling and
+//!   the functional execution of a whole GEMM.
+//!
+//! This crate prices nothing on its own. The one GEMM timing model is
+//! `maco_core::system::MacoSystem::price_tile_step`: it walks the same
+//! [`block_passes`], charges the [`systolic`] cycle model against DMA
+//! transfers through the shared mesh, CCM slices and DRAM, and adds the
+//! stall [`Mmae::translate_pass`] reports.
 //!
 //! # Example: functional tile GEMM matches a reference
 //!
@@ -42,7 +46,6 @@
 
 pub mod buffers;
 pub mod config;
-pub mod dma;
 pub mod engine;
 pub mod f16;
 pub mod kernels;
@@ -52,8 +55,7 @@ pub mod translate;
 
 pub use buffers::{BufferError, BufferPlan};
 pub use config::{MmaeConfig, TilingConfig};
-pub use dma::{DmaEngine, TransferReport};
-pub use engine::{Mmae, TaskReport};
+pub use engine::Mmae;
 pub use kernels::{GemmOperands, GemmScratch};
 pub use systolic::SystolicArray;
 pub use tiling::{block_passes, tiles_in_pass, tiles_into, BlockPass, Tile};

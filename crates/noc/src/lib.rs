@@ -6,17 +6,12 @@
 //! provides "up to 128 GB/s memory bandwidth for each compute node
 //! (bidirectional read/write bandwidth, 256-bit@2GHz)" — Section III.A.
 //!
-//! Two complementary models are provided:
-//!
-//! * [`router`] — a flit-level, cycle-stepped mesh with per-VC input
-//!   queues, credit-based flow control and round-robin arbitration. This is
-//!   the fidelity reference: unit and property tests verify delivery,
-//!   ordering and freedom from routing deadlock.
-//! * [`fabric`] — a fast link-occupancy model ([`MeshFabric`]) used by the
-//!   full-system simulator: every directed link is a bandwidth resource,
-//!   packets reserve serialisation time along their X-Y path, and link
-//!   contention emerges naturally. This is what produces the multi-node
-//!   efficiency loss of Fig. 7.
+//! [`fabric`] models it as link occupancy ([`MeshFabric`]): every directed
+//! link is a bandwidth resource, packets reserve serialisation time along
+//! their X-Y path ([`routing`]), and link contention emerges naturally.
+//! This is what produces the multi-node efficiency loss of Fig. 7. There
+//! is no flit-level router: virtual channels and credit flow control are
+//! not modelled.
 //!
 //! On top of the topology, [`sfc`] provides space-filling-curve orderings
 //! ([`TileOrder`]: row-major, Morton, generalized Hilbert) used by
@@ -35,15 +30,11 @@
 //! ```
 
 pub mod fabric;
-pub mod packet;
-pub mod router;
 pub mod routing;
 pub mod sfc;
 pub mod topology;
 
 pub use fabric::{FabricConfig, MeshFabric};
-pub use packet::{Packet, PacketKind};
-pub use router::MeshSim;
 pub use routing::{xy_next_hop, xy_route};
 pub use sfc::{hilbert_order, morton_order, TileOrder};
 pub use topology::{MeshShape, NodeId, Port};

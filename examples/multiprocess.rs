@@ -46,13 +46,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(report_b.is_none());
     let outcome = node_b.query_release(maid_b)?;
     println!("process B: {maid_b} -> {outcome:?}");
-    if let QueryOutcome::Done { exception: Some(e) } = outcome {
-        println!("           exception: {e}; issuing MA_CLEAR");
-        node_b.clear(maid_b)?;
-    }
-    println!(
-        "           MTQ entries in use: {}",
-        node_b.cpu().mtq().in_use()
-    );
+    let QueryOutcome::Done { exception: Some(e) } = outcome else {
+        panic!("an unmapped task must end in an exception, got {outcome:?}");
+    };
+    println!("           exception: {e}; issuing MA_CLEAR");
+    node_b.clear(maid_b)?;
+    let in_use = node_b.cpu().mtq().in_use();
+    println!("           MTQ entries in use: {in_use}");
+    assert_eq!(in_use, 0, "MA_CLEAR frees the excepted entry");
     Ok(())
 }

@@ -8,7 +8,8 @@
 //! * [`mmae`] — the matrix-multiplication acceleration engine.
 //! * [`isa`] — the MPAIS instruction set and task queues.
 //! * [`vm`] — page tables, TLBs and the mATLB predictor.
-//! * [`mem`] — caches, MOESI directory, lockable L3, DRAM.
+//! * [`mem`] — caches, lockable L3, DRAM (CCMs are priced as
+//!   latency-bandwidth resources, with no coherence directory).
 //! * [`noc`] — the 4×4 mesh network.
 //! * [`cpu`] — the general-purpose core model.
 //! * [`workloads`] — HPL sweeps, DNN GEMM streams and multi-tenant

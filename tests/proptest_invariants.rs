@@ -5,7 +5,6 @@ use proptest::prelude::*;
 use maco::isa::mtq::MasterTaskQueue;
 use maco::isa::params::GemmParams;
 use maco::isa::{Asid, ExceptionType, Precision};
-use maco::mem::directory::Directory;
 use maco::mmae::config::TilingConfig;
 use maco::mmae::systolic::{reference_gemm, SystolicArray};
 use maco::mmae::tiling::{block_passes, tiles_in_pass};
@@ -113,21 +112,6 @@ proptest! {
         let path = xy_route(mesh, src, dst);
         prop_assert_eq!(path.len() as u32, src.manhattan(dst) + 1);
         prop_assert!(path.iter().all(|n| mesh.contains(*n)));
-    }
-
-    /// The MOESI directory never reaches an incompatible sharer state
-    /// under arbitrary operation sequences.
-    #[test]
-    fn directory_invariants_hold(ops in proptest::collection::vec((0u8..3, 0usize..4, 0u64..16), 1..200)) {
-        let mut dir = Directory::new(4);
-        for (op, node, line) in ops {
-            match op {
-                0 => { dir.read_shared(node, line).unwrap(); }
-                1 => { dir.read_exclusive(node, line).unwrap(); }
-                _ => { dir.evict(node, line).unwrap(); }
-            }
-            prop_assert!(dir.check_invariants().is_ok());
-        }
     }
 
     /// MTQ entries are never leaked or double-allocated under arbitrary
