@@ -11,7 +11,7 @@ use maco_mmae::tiling::block_passes;
 use maco_mmae::translate::TranslationContext;
 use maco_mmae::{Mmae, MmaeConfig};
 use maco_sim::SimDuration;
-use maco_vm::matlb::{Matlb, TileAccessPattern};
+use maco_vm::matlb::TileAccessPattern;
 use maco_vm::page_table::{AddressSpace, PageFlags};
 use maco_vm::tlb::{Tlb, TlbEntry};
 use maco_vm::walker::PageTableWalker;
@@ -129,9 +129,10 @@ fn bench_matlb(c: &mut Criterion) {
     });
 }
 
-/// Exact replay of the first block pass of an `n³` GEMM through a warm
-/// 1024-entry sTLB with prediction on — what the translation mirror saves
-/// when it transplants instead. Prints the pass's page touches so the
+/// Exact demand-mode replay of the first block pass of an `n³` GEMM
+/// through a warm 1024-entry sTLB — what the translation mirror saves
+/// when it transplants instead (predictive passes are closed-form and
+/// never mirrored). Prints the pass's page touches so the
 /// per-touch cost can be set against `tlb/clone_retagged_1024`.
 fn bench_translate_pass(c: &mut Criterion, name: &str, n: u64, precision: Precision) {
     let e = precision.bytes();
@@ -158,13 +159,12 @@ fn bench_translate_pass(c: &mut Criterion, name: &str, n: u64, precision: Precis
     let pass = block_passes(n, n, n, &mmae.config().tiling)[0];
     let mut stlb = Tlb::new(1024);
     let mut walker = PageTableWalker::new(2);
-    let mut matlb = Matlb::new(MmaeConfig::default().matlb_entries);
     let mut ctx = TranslationContext {
         asid: Asid::new(1),
         space: &space,
         stlb: &mut stlb,
         walker: &mut walker,
-        matlb: Some(&mut matlb),
+        prediction: false,
         walk_read_latency: SimDuration::from_ps(1_550),
     };
     let touches = mmae.translate_pass(&params, &pass, &mut ctx).unwrap().pages;

@@ -32,7 +32,6 @@ use maco_noc::fabric::{FabricConfig, MeshFabric};
 use maco_noc::sfc::TileOrder;
 use maco_noc::topology::NodeId;
 use maco_sim::{FxHashMap, LatencyBandwidthResource, SimDuration, SimTime, Stats};
-use maco_vm::matlb::Matlb;
 use maco_vm::page_table::{AddressSpace, PageFlags, TranslateFault};
 use maco_vm::{PhysAddr, VirtAddr, PAGE_SIZE};
 
@@ -75,15 +74,18 @@ pub struct SystemConfig {
     /// Baseline-2 can hide.
     pub dma_mshr: u64,
     /// Cross-node translation mirroring (wall-clock optimisation, on by
-    /// default): when several nodes have replayed *identical* pass
-    /// translation histories — the Fig. 7 configuration, where every node
-    /// runs the same independent GEMM — the exact page-stream simulation
-    /// of a pass is performed once and its outcome (stream counters plus
-    /// the resulting sTLB/walker state, retagged per ASID) transplanted to
-    /// the other nodes. The mirror is cost-gated: only a pass whose exact
-    /// replay costs more host time than transplanting the whole sTLB (its
-    /// page touches weighed against the sTLB capacity) is recorded, so
-    /// small passes — one per serving job — are simply replayed.
+    /// default; demand translation only). Predictive translation is
+    /// closed-form and touches no sTLB or walker state, so with
+    /// [`SystemConfig::prediction`] on there is nothing to mirror and this
+    /// flag has no effect. Without prediction, when several nodes have
+    /// replayed *identical* pass translation histories — every node
+    /// running the same independent GEMM — the exact page-stream
+    /// simulation of a pass is performed once and its outcome (stream
+    /// counters plus the resulting sTLB/walker state, retagged per ASID)
+    /// transplanted to the other nodes. The mirror is cost-gated: only a
+    /// pass whose exact replay costs more host time than transplanting
+    /// the whole sTLB (its page touches weighed against the sTLB
+    /// capacity) is recorded, so small passes are simply replayed.
     /// Simulated results are bit-identical either way; `false` forces
     /// every node to replay every stream (the equivalence tests run both).
     pub translation_mirror: bool,
@@ -212,7 +214,6 @@ pub(crate) const LINE_BYTES: u64 = 64;
 struct NodeState {
     cpu: CpuCore,
     mmae: Mmae,
-    matlb: Matlb,
     stq: SlaveTaskQueue,
     asid: Asid,
     pos: NodeId,
@@ -258,7 +259,6 @@ impl MacoSystem {
             .map(|i| NodeState {
                 cpu: CpuCore::new(config.cpu),
                 mmae: Mmae::new(config.mmae),
-                matlb: Matlb::new(config.mmae.matlb_entries),
                 stq: SlaveTaskQueue::new(config.mmae.stq_entries),
                 asid: Asid::new(i as u16 + 1),
                 pos: placement[i],
@@ -325,8 +325,12 @@ impl MacoSystem {
     /// [`Stats::merge`]. Reading the snapshot never perturbs simulation
     /// state.
     ///
+    /// `dtlb.*` and `stlb.*` count lookups (hits plus misses) and misses.
+    /// Predictive translation is closed-form and never consults the sTLB,
+    /// so `stlb.*` counts demand-mode traffic only.
+    ///
     /// The `xlate.*` entries count block passes by how their translation
-    /// was obtained — replayed exactly, served from a run's memo, or
+    /// was obtained — computed exactly, served from a run's memo, or
     /// transplanted by the cross-node mirror — plus the sTLB snapshots the
     /// mirror recorded. They measure host-side work only: mirror on and
     /// off give different counts for bit-identical results, so they are
@@ -338,10 +342,10 @@ impl MacoSystem {
         let mut instructions = 0u64;
         for node in &self.nodes {
             let mmu = node.cpu.mmu();
-            let (dl, dm) = mmu.dtlb_stats();
-            let (sl, sm) = mmu.stlb_stats();
-            dtlb = (dtlb.0 + dl, dtlb.1 + dm);
-            stlb = (stlb.0 + sl, stlb.1 + sm);
+            let (dh, dm) = mmu.dtlb_stats();
+            let (sh, sm) = mmu.stlb_stats();
+            dtlb = (dtlb.0 + dh + dm, dtlb.1 + dm);
+            stlb = (stlb.0 + sh + sm, stlb.1 + sm);
             instructions += node.cpu.instructions_issued();
         }
         s.add("cpu.instructions", instructions);
@@ -964,7 +968,8 @@ impl MacoSystem {
         corners[node % corners.len()]
     }
 
-    /// Exact pass translation through a node's MMU-shared TLB and mATLB.
+    /// Exact pass translation: closed-form with prediction, replayed
+    /// through the node's MMU-shared TLB and walker without.
     fn translate_pass_for(
         &mut self,
         node: usize,
@@ -982,11 +987,7 @@ impl MacoSystem {
             space: &self.space,
             stlb,
             walker,
-            matlb: if prediction {
-                Some(&mut state.matlb)
-            } else {
-                None
-            },
+            prediction,
             walk_read_latency: walk_read,
         };
         state.mmae.translate_pass(params, pass, &mut ctx)
@@ -995,11 +996,14 @@ impl MacoSystem {
     /// Pass translation with cross-node mirroring (see
     /// [`SystemConfig::translation_mirror`]).
     ///
+    /// The mirror serves demand translation only: predictive passes are
+    /// closed-form and touch no MMU state, so they bypass it.
+    ///
     /// Soundness rests on three invariants, each load-bearing:
     ///
     /// * **Isomorphic histories.** A node's sTLB and walker are touched
-    ///   *only* by `translate_pass_for` (the CPU's own L1 TLBs are
-    ///   separate), so a chained hash over every `(params, pass)` a node
+    ///   *only* by demand-mode `translate_pass_for` (the CPU's own L1 TLBs
+    ///   are separate), so a chained hash over every `(params, pass)` a node
     ///   has translated fully determines its MMU state up to the ASID tag.
     ///   Two nodes with equal history hashes are isomorphic, and a
     ///   recorded post-state can be transplanted via
@@ -1022,7 +1026,8 @@ impl MacoSystem {
         pass: &BlockPass,
     ) -> Result<StreamTranslation, TranslateFault> {
         let node = run.node;
-        if !self.config.translation_mirror {
+        // Predictive translation leaves no MMU state to transplant.
+        if !self.config.translation_mirror || self.config.prediction {
             return self.translate_pass_for(node, &run.params, pass);
         }
         let sig = mirror_signature(run.params_sig, pass);
@@ -1151,7 +1156,8 @@ struct TranslationMirror {
 /// Pass-translation work counters; see [`MacoSystem::stats_snapshot`].
 #[derive(Default)]
 struct PassCounters {
-    /// Passes replayed page by page through a node's sTLB and walker.
+    /// Passes computed exactly: in closed form with prediction, replayed
+    /// page by page through a node's sTLB and walker without.
     exact: u64,
     /// Passes served from a run's [`TranslationMemo`].
     memo: u64,
@@ -1488,14 +1494,19 @@ mod tests {
         assert_eq!(total, 4 * 2 * 512 * 128 * 512);
     }
 
-    /// Runs `f` against a mirrored and an unmirrored system and asserts
-    /// every simulated outcome — times, counters, and the per-node MMU
+    /// Runs `f` against a mirrored and an unmirrored system, both in
+    /// demand mode (the only mode the mirror serves), and asserts every
+    /// simulated outcome — times, counters, and the per-node MMU
     /// statistics the mirror transplants — is identical.
     fn assert_mirror_equivalent(nodes: usize, f: impl Fn(&mut MacoSystem) -> Vec<SystemReport>) {
-        let mut mirrored = MacoSystem::new(small_config(nodes));
+        let demand = SystemConfig {
+            prediction: false,
+            ..small_config(nodes)
+        };
+        let mut mirrored = MacoSystem::new(demand.clone());
         let mut plain = MacoSystem::new(SystemConfig {
             translation_mirror: false,
-            ..small_config(nodes)
+            ..demand
         });
         let rm = f(&mut mirrored);
         let rp = f(&mut plain);
@@ -1588,7 +1599,10 @@ mod tests {
         // replayed twice before the run's memo serves it. Every replayed
         // pass is far past the break-even, so node 0 replays and records
         // each one and the other 15 nodes transplant it.
-        let mut sys = MacoSystem::new(small_config(16));
+        let mut sys = MacoSystem::new(SystemConfig {
+            prediction: false,
+            ..small_config(16)
+        });
         sys.run_parallel_gemm(2048, 2048, 2048, Precision::Fp64)
             .unwrap();
         let stats = sys.stats_snapshot();
@@ -1600,6 +1614,39 @@ mod tests {
         ]
         .map(|key| stats.get(key));
         assert_eq!(counts, [4, 64, 60, 4]);
+    }
+
+    #[test]
+    fn predictive_runs_bypass_the_mirror_and_the_stlb() {
+        // Closed-form predictive translation leaves no MMU state, so the
+        // same lockstep run records and transplants nothing.
+        let mut sys = MacoSystem::new(small_config(16));
+        sys.run_parallel_gemm(2048, 2048, 2048, Precision::Fp64)
+            .unwrap();
+        let stats = sys.stats_snapshot();
+        assert_eq!(stats.get("xlate.mirror_snapshots"), 0);
+        assert_eq!(stats.get("xlate.passes_mirrored"), 0);
+        assert_eq!(stats.get("stlb.lookups"), 0);
+        assert_eq!(stats.get("xlate.passes_exact"), 16 * 2 * 2);
+    }
+
+    #[test]
+    fn stlb_counters_count_every_demand_lookup() {
+        // 256³ FP64 is one block pass, replayed exactly: every page touch
+        // is one sTLB lookup and every demand walk one miss.
+        let mut sys = MacoSystem::new(SystemConfig {
+            prediction: false,
+            ..small_config(1)
+        });
+        let r = sys
+            .run_parallel_gemm(256, 256, 256, Precision::Fp64)
+            .unwrap();
+        let tr = r.nodes[0].translation;
+        let stats = sys.stats_snapshot();
+        assert_eq!(stats.get("xlate.passes_exact"), 1);
+        assert_eq!(stats.get("stlb.lookups"), tr.pages);
+        assert_eq!(stats.get("stlb.misses"), tr.demand_walks);
+        assert!(tr.tlb_hits > 0, "the pass reuses pages");
     }
 
     #[test]

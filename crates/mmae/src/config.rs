@@ -77,8 +77,6 @@ pub struct MmaeConfig {
     pub c_buffer_bytes: u64,
     /// Number of DMA engines in the ADE.
     pub dma_engines: usize,
-    /// mATLB translation-buffer entries.
-    pub matlb_entries: usize,
     /// Slave-task-queue entries.
     pub stq_entries: usize,
     /// Tiling scheme.
@@ -101,7 +99,6 @@ impl Default for MmaeConfig {
             b_buffer_bytes: 64 * 1024,
             c_buffer_bytes: 64 * 1024,
             dma_engines: 2,
-            matlb_entries: 160,
             stq_entries: 4,
             tiling: TilingConfig::default(),
             lanes_override: None,

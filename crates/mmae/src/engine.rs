@@ -13,7 +13,6 @@
 
 use maco_isa::params::GemmParams;
 use maco_isa::Precision;
-use maco_sim::SimTime;
 use maco_vm::matlb::TileAccessPattern;
 use maco_vm::page_table::TranslateFault;
 use maco_vm::VirtAddr;
@@ -74,7 +73,7 @@ impl Mmae {
                 pass.depth * e,
                 params.lda * e,
             );
-            total.merge(&ctx.translate_stream(&a, SimTime::ZERO)?);
+            total.merge(&ctx.translate_stream(&a)?);
             // B sub-block: depth rows of the tile's columns.
             let b = TileAccessPattern::new(
                 VirtAddr::new(params.b_addr + (pass.k0 * params.ldb + tile.col0) * e),
@@ -82,7 +81,7 @@ impl Mmae {
                 tile.cols * e,
                 params.ldb * e,
             );
-            total.merge(&ctx.translate_stream(&b, SimTime::ZERO)?);
+            total.merge(&ctx.translate_stream(&b)?);
             if pass.first_k {
                 let c = TileAccessPattern::new(
                     VirtAddr::new(params.c_addr + (tile.row0 * params.ldc + tile.col0) * e),
@@ -90,7 +89,7 @@ impl Mmae {
                     tile.cols * e,
                     params.ldc * e,
                 );
-                total.merge(&ctx.translate_stream(&c, SimTime::ZERO)?);
+                total.merge(&ctx.translate_stream(&c)?);
             }
             if pass.last_k {
                 let y = TileAccessPattern::new(
@@ -99,7 +98,7 @@ impl Mmae {
                     tile.cols * e,
                     params.ldc * e,
                 );
-                total.merge(&ctx.translate_stream(&y, SimTime::ZERO)?);
+                total.merge(&ctx.translate_stream(&y)?);
             }
         }
         Ok(total)

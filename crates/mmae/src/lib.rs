@@ -18,9 +18,10 @@
 //!   that makes steady-state tile passes allocation-free.
 //! * [`buffers`] — A/B/C buffer capacity checks and double-buffering
 //!   occupancy.
-//! * [`translate`] — the per-transfer translation path: mATLB prefetch →
-//!   shared TLB → page-table walker, producing the stall the Fig. 6
-//!   experiment measures.
+//! * [`translate`] — the per-transfer translation path: closed-form
+//!   mATLB prediction, or demand translation through the shared TLB and
+//!   page-table walker, producing the stall the Fig. 6 experiment
+//!   measures.
 //! * [`engine`] — the engine facade: pass translation over the tiling and
 //!   the functional execution of a whole GEMM.
 //!

@@ -6,11 +6,17 @@
 //! miss exposes a demand walk — four dependent descriptor reads — on the
 //! DMA critical path. The difference between those two costs *is* the
 //! Fig. 6 experiment.
+//!
+//! Predictive translation is computed in closed form: the page count
+//! comes from the pattern's geometry and faults from one mapped-range
+//! check, so it touches neither the shared TLB nor the walker (the
+//! pre-walks are off the critical path and have no timing effect). Only
+//! demand translation replays the stream page by page through the TLB.
 
 use maco_isa::Asid;
-use maco_sim::{FxHashMap, SimDuration, SimTime};
+use maco_sim::{FxHashMap, SimDuration};
 use maco_vm::addr::WALK_LEVELS;
-use maco_vm::matlb::{Matlb, TileAccessPattern};
+use maco_vm::matlb::TileAccessPattern;
 use maco_vm::page_table::{AddressSpace, TranslateFault};
 use maco_vm::tlb::{Tlb, TlbEntry};
 use maco_vm::walker::PageTableWalker;
@@ -24,7 +30,7 @@ pub struct StreamTranslation {
     pub stall: SimDuration,
     /// Page touches in the stream (consecutive-dedup, Fig. 4 order).
     pub pages: u64,
-    /// Touches satisfied by the mATLB prefetch buffer.
+    /// Touches the mATLB pre-walked (every touch with prediction).
     pub matlb_hits: u64,
     /// Touches satisfied by the shared TLB.
     pub tlb_hits: u64,
@@ -119,8 +125,8 @@ impl StreamTranslation {
 
 /// Mutable view over the translation machinery a DMA engine uses for one
 /// transfer: the process's address space and ASID, the CPU-shared TLB
-/// (Fig. 2's sTLB interface), the walker, and — when predictive translation
-/// is enabled — the mATLB.
+/// (Fig. 2's sTLB interface), the walker, and whether predictive
+/// translation (the mATLB) is enabled.
 pub struct TranslationContext<'a> {
     /// Submitting process.
     pub asid: Asid,
@@ -131,9 +137,9 @@ pub struct TranslationContext<'a> {
     pub stlb: &'a mut Tlb,
     /// The hardware walker.
     pub walker: &'a mut PageTableWalker,
-    /// The predictive unit; `None` reproduces the "without prediction"
-    /// configuration of Fig. 6.
-    pub matlb: Option<&'a mut Matlb>,
+    /// Predictive translation; `false` reproduces the "without
+    /// prediction" configuration of Fig. 6.
+    pub prediction: bool,
     /// Memory latency of one descriptor read during a walk (walks hit the
     /// L2/L3 caches holding hot table nodes).
     pub walk_read_latency: SimDuration,
@@ -145,56 +151,46 @@ impl TranslationContext<'_> {
         self.walk_read_latency * WALK_LEVELS as u64
     }
 
-    /// Translates the page stream of `pattern`, updating TLB/mATLB state
-    /// and returning the stall serialised into the DMA transfer.
+    /// Translates the page stream of `pattern`, returning its page counts
+    /// and the stall serialised into the DMA transfer.
     ///
-    /// With prediction, the mATLB enumerates the pages ahead of the stream
-    /// and performs the walks off the critical path (they still update the
-    /// shared TLB); pages beyond the mATLB window fall back to the demand
-    /// path. Without prediction, every TLB miss stalls the stream for a
-    /// full walk.
+    /// With prediction, the mATLB pre-walks every page off the critical
+    /// path, so the stream never stalls and every page is an mATLB hit.
+    /// The result follows from the pattern alone: the page count in closed
+    /// form and, when the pattern's page span is mapped, no fault; the
+    /// sTLB and walker are not touched. Without prediction, every sTLB
+    /// miss stalls the stream for a full walk.
     ///
     /// # Errors
     ///
-    /// Returns the first [`TranslateFault`] encountered — the MMAE reports
-    /// it as a `TranslationFault` exception through the MTQ (Fig. 3 ④).
+    /// Returns the first [`TranslateFault`] in stream order — the MMAE
+    /// reports it as a `TranslationFault` exception through the MTQ
+    /// (Fig. 3 ④).
     pub fn translate_stream(
         &mut self,
         pattern: &TileAccessPattern,
-        _now: SimTime,
     ) -> Result<StreamTranslation, TranslateFault> {
-        let mut out = StreamTranslation::default();
-
-        if let Some(matlb) = self.matlb.as_deref_mut() {
-            // Predictive mode. The mATLB enumerates the page sequence ahead
-            // of the stream and keeps a *rolling* window of pre-walked
-            // entries (Fig. 4): as the DMA consumes translations from the
-            // buffer front, the unit issues the next walks. Walks that hit
-            // the shared TLB fill instantly, and the off-critical-path walk
-            // throughput (two pipelined walkers) sustains the page rate of
-            // a tile stream, so the DMA sees no stall; the entries still
-            // flow through the mATLB buffer and the walks still warm the
-            // shared TLB functionally.
-            matlb.clear();
-            let asid = self.asid;
-            let space = self.space;
-            let walker = &mut *self.walker;
-            for page in pattern.predicted_pages() {
-                out.pages += 1;
-                out.matlb_hits += 1;
-                self.stlb.lookup_or_fill(asid, page.page_number(), || {
-                    let (pa, flags) = walker.walk_frame(space, page)?;
-                    Ok(TlbEntry {
-                        frame: pa.frame_number(),
-                        flags,
-                    })
-                })?;
+        if self.prediction {
+            let (lo, hi) = pattern.page_span();
+            if !self.space.range_mapped(lo, hi) {
+                // Some page in the span is a hole; find the first one the
+                // stream touches (holes in the gaps between rows are
+                // never touched).
+                for page in pattern.predicted_pages() {
+                    self.space.translate(page)?;
+                }
             }
-            return Ok(out);
+            let pages = pattern.distinct_page_count();
+            return Ok(StreamTranslation {
+                pages,
+                matlb_hits: pages,
+                ..StreamTranslation::default()
+            });
         }
 
         // Demand mode: every shared-TLB miss exposes a full walk on the
         // stream's critical path.
+        let mut out = StreamTranslation::default();
         let walk_latency = self.demand_walk_latency();
         let asid = self.asid;
         let space = self.space;
@@ -216,19 +212,6 @@ impl TranslationContext<'_> {
             }
         }
         Ok(out)
-    }
-
-    /// Translates the first byte of `pattern` for the physical base the DMA
-    /// uses to address memory.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`TranslateFault`] of the base address.
-    pub fn translate_base(
-        &mut self,
-        pattern: &TileAccessPattern,
-    ) -> Result<maco_vm::PhysAddr, TranslateFault> {
-        self.space.translate(pattern.base)
     }
 }
 
@@ -265,12 +248,10 @@ mod tests {
             space: &space,
             stlb: &mut stlb,
             walker: &mut walker,
-            matlb: None,
+            prediction: false,
             walk_read_latency: SimDuration::from_ns(30),
         };
-        let tr = ctx
-            .translate_stream(&pattern_rows(16), SimTime::ZERO)
-            .unwrap();
+        let tr = ctx.translate_stream(&pattern_rows(16)).unwrap();
         assert_eq!(tr.pages, 16);
         assert_eq!(tr.demand_walks, 16, "all cold");
         assert_eq!(tr.stall, SimDuration::from_ns(16 * 120));
@@ -287,14 +268,11 @@ mod tests {
             space: &space,
             stlb: &mut stlb,
             walker: &mut walker,
-            matlb: None,
+            prediction: false,
             walk_read_latency: SimDuration::from_ns(30),
         };
-        ctx.translate_stream(&pattern_rows(16), SimTime::ZERO)
-            .unwrap();
-        let tr = ctx
-            .translate_stream(&pattern_rows(16), SimTime::ZERO)
-            .unwrap();
+        ctx.translate_stream(&pattern_rows(16)).unwrap();
+        let tr = ctx.translate_stream(&pattern_rows(16)).unwrap();
         assert_eq!(tr.tlb_hits, 16, "second pass is warm");
         assert_eq!(tr.stall, SimDuration::ZERO);
     }
@@ -304,48 +282,44 @@ mod tests {
         let space = make_space(128);
         let mut stlb = Tlb::new(1024);
         let mut walker = PageTableWalker::new(2);
-        let mut matlb = Matlb::new(64);
         let mut ctx = TranslationContext {
             asid: Asid::new(1),
             space: &space,
             stlb: &mut stlb,
             walker: &mut walker,
-            matlb: Some(&mut matlb),
+            prediction: true,
             walk_read_latency: SimDuration::from_ns(30),
         };
-        let tr = ctx
-            .translate_stream(&pattern_rows(16), SimTime::ZERO)
-            .unwrap();
+        let tr = ctx.translate_stream(&pattern_rows(16)).unwrap();
         assert_eq!(tr.matlb_hits, 16, "prefetch hides every walk");
         assert_eq!(tr.stall, SimDuration::ZERO);
-        // The walks still happened (functionally) and warmed the sTLB.
-        assert_eq!(walker.walks(), 16);
-        assert!(stlb.probe(Asid::new(1), 0).is_some());
+        // The result is closed-form: the sTLB and walker are untouched.
+        assert_eq!(walker.walks(), 0);
+        assert_eq!((stlb.hits(), stlb.misses()), (0, 0));
+        assert!(stlb.probe(Asid::new(1), 0).is_none());
     }
 
     #[test]
     fn prediction_covers_streams_beyond_the_buffer_window() {
-        // The rolling window keeps pre-walking as the stream advances, so
-        // even a stream much longer than the buffer capacity never stalls.
+        // No prefetch buffer is modelled, so a stream longer than any
+        // buffer window never stalls and never reaches the walker.
         let space = make_space(256);
         let mut stlb = Tlb::new(1024);
         let mut walker = PageTableWalker::new(2);
-        let mut matlb = Matlb::new(8); // tiny window
         let mut ctx = TranslationContext {
             asid: Asid::new(1),
             space: &space,
             stlb: &mut stlb,
             walker: &mut walker,
-            matlb: Some(&mut matlb),
+            prediction: true,
             walk_read_latency: SimDuration::from_ns(30),
         };
-        let tr = ctx
-            .translate_stream(&pattern_rows(32), SimTime::ZERO)
-            .unwrap();
+        let tr = ctx.translate_stream(&pattern_rows(32)).unwrap();
         assert_eq!(tr.matlb_hits, 32);
         assert_eq!(tr.demand_walks, 0);
         assert_eq!(tr.stall, SimDuration::ZERO);
-        assert_eq!(walker.walks(), 32, "walks still happen, off-path");
+        assert_eq!(walker.walks(), 0, "no walk is replayed");
+        assert_eq!(stlb.len(), 0);
     }
 
     #[test]
@@ -358,11 +332,11 @@ mod tests {
             space: &space,
             stlb: &mut stlb,
             walker: &mut walker,
-            matlb: None,
+            prediction: false,
             walk_read_latency: SimDuration::from_ns(30),
         };
         // Rows stride into unmapped territory.
-        let err = ctx.translate_stream(&pattern_rows(16), SimTime::ZERO);
+        let err = ctx.translate_stream(&pattern_rows(16));
         assert!(err.is_err());
     }
 
@@ -371,18 +345,15 @@ mod tests {
         let space = make_space(4);
         let mut stlb = Tlb::new(64);
         let mut walker = PageTableWalker::new(2);
-        let mut matlb = Matlb::new(64);
         let mut ctx = TranslationContext {
             asid: Asid::new(1),
             space: &space,
             stlb: &mut stlb,
             walker: &mut walker,
-            matlb: Some(&mut matlb),
+            prediction: true,
             walk_read_latency: SimDuration::from_ns(30),
         };
-        assert!(ctx
-            .translate_stream(&pattern_rows(16), SimTime::ZERO)
-            .is_err());
+        assert!(ctx.translate_stream(&pattern_rows(16)).is_err());
     }
 
     #[test]
@@ -397,14 +368,11 @@ mod tests {
             space: &space,
             stlb: &mut stlb,
             walker: &mut walker,
-            matlb: None,
+            prediction: false,
             walk_read_latency: SimDuration::from_ns(30),
         };
-        ctx.translate_stream(&pattern_rows(64), SimTime::ZERO)
-            .unwrap();
-        let tr = ctx
-            .translate_stream(&pattern_rows(64), SimTime::ZERO)
-            .unwrap();
+        ctx.translate_stream(&pattern_rows(64)).unwrap();
+        let tr = ctx.translate_stream(&pattern_rows(64)).unwrap();
         assert_eq!(tr.demand_walks, 64, "LRU thrash: no reuse survives");
     }
 
@@ -467,22 +435,5 @@ mod tests {
             last_k: true,
         };
         assert_eq!(PassKey::of(&pass), PassKey::new(100, 200, 300, false, true));
-    }
-
-    #[test]
-    fn translate_base_returns_physical() {
-        let space = make_space(8);
-        let mut stlb = Tlb::new(64);
-        let mut walker = PageTableWalker::new(2);
-        let mut ctx = TranslationContext {
-            asid: Asid::new(1),
-            space: &space,
-            stlb: &mut stlb,
-            walker: &mut walker,
-            matlb: None,
-            walk_read_latency: SimDuration::from_ns(30),
-        };
-        let pa = ctx.translate_base(&pattern_rows(1)).unwrap();
-        assert_eq!(pa.raw(), 0x100_0000);
     }
 }

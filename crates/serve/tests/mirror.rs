@@ -3,7 +3,8 @@
 //! A serving episode translates one small pass per micro job, far below
 //! the mirror's break-even, alongside heavier layers above it. Turning the
 //! mirror off must not move a single scheduled event, and the small
-//! passes must never pay for an sTLB snapshot.
+//! passes must never pay for an sTLB snapshot. The machines run without
+//! prediction: the mirror serves demand translation only.
 
 use maco_core::system::{MacoSystem, SystemConfig};
 use maco_serve::{Engine, JobOutcome, JobSpec, Policy, ServeConfig, ServeReport, Server, Tenant};
@@ -14,6 +15,7 @@ const NODES: usize = 4;
 fn machine(translation_mirror: bool) -> MacoSystem {
     MacoSystem::new(SystemConfig {
         nodes: NODES,
+        prediction: false,
         translation_mirror,
         ..SystemConfig::default()
     })

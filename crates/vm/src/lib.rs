@@ -13,9 +13,10 @@
 //! * [`walker`] — the page-table walker producing both the translation and
 //!   the list of memory reads it performed (for timing).
 //! * [`matlb`] — the paper's **predictive address translation** unit
-//!   (Section IV.A, Fig. 4): from the tile geometry it enumerates, ahead of
-//!   time, the virtual pages a DMA stream will touch, pre-walks them, and
-//!   buffers the translations so the DMA engines never stall on a walk.
+//!   (Section IV.A, Fig. 4): the tile geometry fixes, ahead of time, the
+//!   virtual pages a DMA stream will touch, so the pages are pre-walked
+//!   and the DMA engines never stall on a walk. The page count and span
+//!   come in closed form from the pattern.
 //!
 //! # Example: translating through a page table
 //!
@@ -39,7 +40,7 @@ pub mod tlb;
 pub mod walker;
 
 pub use addr::{PhysAddr, VirtAddr, PAGE_SHIFT, PAGE_SIZE};
-pub use matlb::{Matlb, MatlbEntry, TileAccessPattern};
+pub use matlb::TileAccessPattern;
 pub use page_table::{AddressSpace, PageFlags, TranslateFault};
 pub use tlb::{Tlb, TlbEntry};
 pub use walker::{PageTableWalker, WalkResult};

@@ -11,14 +11,16 @@
 //!
 //! The mATLB exploits this: it "generates multiple virtual addresses in
 //! advance, then sends them to the CPU core's MMU to perform page table
-//! walk"; returned translations are buffered locally, consumed in order by
-//! the DMA engines, and "removed from the buffer once they fail to match
-//! the current virtual address".
+//! walk", so the DMA engines never wait on a walk. The page sequence is an
+//! affine function of `(base, rows, row_bytes, row_stride)`, and the
+//! simulator uses that directly: [`TileAccessPattern::distinct_page_count`]
+//! counts a stream's pages in closed form and
+//! [`TileAccessPattern::page_span`] bounds them for a single mapped-range
+//! check, so predictive translation models no prefetch buffer and replays
+//! no page. [`TileAccessPattern::predicted_pages`] still enumerates the
+//! sequence for the demand path and for locating a fault.
 
-use std::collections::VecDeque;
-
-use crate::addr::{VirtAddr, PAGE_SIZE};
-use crate::page_table::PageFlags;
+use crate::addr::{VirtAddr, PAGE_SHIFT, PAGE_SIZE};
 
 /// A strided 2-D DMA access pattern (one tile transfer).
 ///
@@ -32,6 +34,9 @@ use crate::page_table::PageFlags;
 /// let tile = TileAccessPattern::new(VirtAddr::new(0), 64, 64 * 8, 1024 * 8);
 /// // Each tile row starts a new page: 64 predicted pages.
 /// assert_eq!(tile.predicted_pages().count(), 64);
+/// // The same count in closed form, spread over pages 0..=126.
+/// assert_eq!(tile.distinct_page_count(), 64);
+/// assert_eq!(tile.page_span(), (0, 126));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TileAccessPattern {
@@ -84,11 +89,65 @@ impl TileAccessPattern {
         }
     }
 
-    /// The number of distinct pages touched, allocation-free. Rows never
-    /// overlap and ascend (`row_stride ≥ row_bytes`), so the predicted
-    /// sequence is strictly increasing and every page in it is distinct.
+    /// The first and last virtual page numbers the stream touches
+    /// (inclusive). Every predicted page lies in this span.
+    pub fn page_span(&self) -> (u64, u64) {
+        let first = self.base.raw();
+        let last = first + (self.rows - 1) * self.row_stride + self.row_bytes - 1;
+        (first >> PAGE_SHIFT, last >> PAGE_SHIFT)
+    }
+
+    /// The number of distinct pages touched, in closed form: a constant
+    /// number of floor-sums, whatever the row count. Rows never overlap
+    /// and ascend (`row_stride ≥ row_bytes`), so the predicted sequence is
+    /// strictly increasing and its length is this count.
+    ///
+    /// When the untouched gap between rows is shorter than a page, no page
+    /// in the span is skipped and the count is the span's length.
+    /// Otherwise no two rows share a page, and the count is the sum over
+    /// rows of `⌊(start + row_bytes − 1) / P⌋ − ⌊start / P⌋ + 1`.
     pub fn distinct_page_count(&self) -> u64 {
-        self.predicted_pages().count() as u64
+        let (first, last) = self.page_span();
+        if self.rows == 1 || self.row_stride - self.row_bytes < PAGE_SIZE {
+            return last - first + 1;
+        }
+        let base = self.base.raw();
+        let ends = floor_sum(self.rows, self.row_stride, base + self.row_bytes - 1);
+        let starts = floor_sum(self.rows, self.row_stride, base);
+        self.rows + ends.wrapping_sub(starts)
+    }
+}
+
+/// `Σ_{i<n} ⌊(a·i + b) / PAGE_SIZE⌋` modulo 2⁶⁴, in O(log a) steps (the
+/// Euclid-like reduction of the classic floor-sum). Intermediate
+/// quotients stay below `PAGE_SIZE · (n + 1)`, so only the running sum
+/// can wrap; the caller subtracts two sums whose true difference fits in
+/// a `u64`, which makes the wrapped difference exact.
+fn floor_sum(mut n: u64, mut a: u64, mut b: u64) -> u64 {
+    let mut m = PAGE_SIZE;
+    let mut sum = 0u64;
+    loop {
+        if a >= m {
+            // n(n−1)/2 without overflowing before the halving.
+            let pairs = if n.is_multiple_of(2) {
+                (n / 2).wrapping_mul(n.wrapping_sub(1))
+            } else {
+                n.wrapping_mul((n - 1) / 2)
+            };
+            sum = sum.wrapping_add(pairs.wrapping_mul(a / m));
+            a %= m;
+        }
+        if b >= m {
+            sum = sum.wrapping_add(n.wrapping_mul(b / m));
+            b %= m;
+        }
+        let y_max = a * n + b;
+        if y_max < m {
+            return sum;
+        }
+        n = y_max / m;
+        b = y_max % m;
+        std::mem::swap(&mut m, &mut a);
     }
 }
 
@@ -130,155 +189,6 @@ impl Iterator for PredictedPages {
     }
 }
 
-/// A buffered, pre-walked translation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MatlbEntry {
-    /// Page base the entry translates.
-    pub page: VirtAddr,
-    /// Physical frame number.
-    pub frame: u64,
-    /// Leaf permissions.
-    pub flags: PageFlags,
-}
-
-/// The mATLB translation buffer.
-///
-/// Prefetched entries sit in a FIFO consumed in stream order. A lookup that
-/// matches the head is a **hit** (the walk already happened, so the DMA
-/// engine pays nothing); the head is retained because subsequent accesses
-/// usually target the same page. When the stream moves on, the stale head
-/// "fails to match the current virtual address" and is dropped.
-///
-/// # Example
-///
-/// ```
-/// use maco_vm::matlb::{Matlb, TileAccessPattern, MatlbEntry};
-/// use maco_vm::addr::VirtAddr;
-/// use maco_vm::page_table::PageFlags;
-///
-/// let mut matlb = Matlb::new(16);
-/// let tile = TileAccessPattern::new(VirtAddr::new(0), 4, 512, 8192);
-/// matlb.prefetch(&tile, |page| Some(MatlbEntry {
-///     page,
-///     frame: page.page_number() + 100, // fake identity-ish translation
-///     flags: PageFlags::rw(),
-/// }));
-/// assert_eq!(matlb.len(), 4);
-/// let hit = matlb.consume(VirtAddr::new(8192 + 64)).unwrap(); // row 1
-/// assert_eq!(hit.frame, 102);
-/// ```
-#[derive(Debug, Clone)]
-pub struct Matlb {
-    buffer: VecDeque<MatlbEntry>,
-    capacity: usize,
-    prefetched: u64,
-    hits: u64,
-    misses: u64,
-    dropped: u64,
-}
-
-impl Matlb {
-    /// Creates an mATLB buffering at most `capacity` translations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "mATLB needs at least one entry");
-        Matlb {
-            buffer: VecDeque::with_capacity(capacity),
-            capacity,
-            prefetched: 0,
-            hits: 0,
-            misses: 0,
-            dropped: 0,
-        }
-    }
-
-    /// Buffer capacity in entries.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Buffered translations.
-    pub fn len(&self) -> usize {
-        self.buffer.len()
-    }
-
-    /// True if no translations are buffered.
-    pub fn is_empty(&self) -> bool {
-        self.buffer.is_empty()
-    }
-
-    /// Predicts the pages of `pattern` and installs translations produced
-    /// by `walk` (the MMU interface) until the buffer is full. Returns how
-    /// many entries were installed. Pages whose walk fails (`None`) are
-    /// skipped — the demand access will fault instead, raising the MTQ
-    /// translation exception.
-    pub fn prefetch(
-        &mut self,
-        pattern: &TileAccessPattern,
-        mut walk: impl FnMut(VirtAddr) -> Option<MatlbEntry>,
-    ) -> usize {
-        let mut installed = 0;
-        for page in pattern.predicted_pages() {
-            if self.buffer.len() == self.capacity {
-                break;
-            }
-            if let Some(entry) = walk(page) {
-                self.buffer.push_back(entry);
-                self.prefetched += 1;
-                installed += 1;
-            }
-        }
-        installed
-    }
-
-    /// Resolves `va` against the buffer: drops stale heads until the head
-    /// matches `va`'s page, then returns it. `None` means the stream ran
-    /// past the prefetched window (a mATLB **miss** — the DMA engine falls
-    /// back to a demand TLB/PTW access).
-    pub fn consume(&mut self, va: VirtAddr) -> Option<MatlbEntry> {
-        let page = va.page_number();
-        while let Some(front) = self.buffer.front() {
-            if front.page.page_number() == page {
-                self.hits += 1;
-                return Some(*front);
-            }
-            self.buffer.pop_front();
-            self.dropped += 1;
-        }
-        self.misses += 1;
-        None
-    }
-
-    /// Clears the buffer (between tiles of unrelated geometry).
-    pub fn clear(&mut self) {
-        self.dropped += self.buffer.len() as u64;
-        self.buffer.clear();
-    }
-
-    /// Translations installed by prefetch.
-    pub fn prefetched(&self) -> u64 {
-        self.prefetched
-    }
-
-    /// Lookups satisfied from the buffer.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Lookups that ran past the buffer.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Entries dropped on mismatch ("removed … once it fails to match").
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -288,7 +198,8 @@ mod tests {
         let mut pages = Vec::new();
         for r in 0..p.rows {
             let start = p.base.raw() + r * p.row_stride;
-            for b in (start..start + p.row_bytes).step_by(8) {
+            let last = start + p.row_bytes - 1;
+            for b in (start..=last).step_by(8).chain([last]) {
                 let pg = b >> 12;
                 if pages.last() != Some(&pg) {
                     pages.push(pg);
@@ -339,89 +250,35 @@ mod tests {
             TileAccessPattern::new(VirtAddr::new(0x740), 17, 1000, 4096),
             TileAccessPattern::new(VirtAddr::new(0x1000), 3, 16384, 73728),
             TileAccessPattern::new(VirtAddr::new(0xFF8), 5, 8, 8),
+            // One row whose "stride" is shorter than the row itself.
+            TileAccessPattern::new(VirtAddr::new(0x7F8), 1, 9000, 16),
+            TileAccessPattern::new(VirtAddr::new(0x3), 1, 1, 0),
+            // Unaligned bases with strides below a page.
+            TileAccessPattern::new(VirtAddr::new(0x1FF1), 40, 200, 1000),
+            TileAccessPattern::new(VirtAddr::new(0xABC), 9, 96, 96),
+            // Gaps one byte short of a page, a page-aligned page (skipped)
+            // and an unaligned page (never skipped).
+            TileAccessPattern::new(VirtAddr::new(0x10), 12, 1000, 1000 + 4095),
+            TileAccessPattern::new(VirtAddr::new(0x200), 6, 3584, 3584 + 4096),
+            TileAccessPattern::new(VirtAddr::new(0x10), 12, 1000, 1000 + 4096),
+            TileAccessPattern::new(VirtAddr::new(0x123), 33, 5000, 5000 + 4097),
+            // Page-multiple stride, rows crossing a boundary each.
+            TileAccessPattern::new(VirtAddr::new(0xF00), 20, 512, 3 * 4096),
         ];
         for tile in cases {
             let predicted: Vec<u64> = tile.predicted_pages().map(|v| v.page_number()).collect();
             assert_eq!(predicted, brute_force_pages(&tile), "{tile:?}");
+            assert_eq!(
+                tile.distinct_page_count(),
+                predicted.len() as u64,
+                "{tile:?}"
+            );
+            assert_eq!(
+                tile.page_span(),
+                (predicted[0], *predicted.last().unwrap()),
+                "{tile:?}"
+            );
         }
-    }
-
-    #[test]
-    fn consume_follows_stream_order() {
-        let mut matlb = Matlb::new(64);
-        let tile = TileAccessPattern::new(VirtAddr::new(0), 4, 512, 8192);
-        matlb.prefetch(&tile, |page| {
-            Some(MatlbEntry {
-                page,
-                frame: page.page_number() * 10,
-                flags: PageFlags::rw(),
-            })
-        });
-        assert_eq!(matlb.len(), 4);
-
-        // Row 0: two accesses to the same page — head retained.
-        assert_eq!(matlb.consume(VirtAddr::new(0)).unwrap().frame, 0);
-        assert_eq!(matlb.consume(VirtAddr::new(256)).unwrap().frame, 0);
-        assert_eq!(matlb.len(), 4);
-
-        // Row 1 (page 2): stale head dropped, new head hits.
-        assert_eq!(matlb.consume(VirtAddr::new(8192)).unwrap().frame, 20);
-        assert_eq!(matlb.dropped(), 1);
-        assert_eq!(matlb.hits(), 3);
-    }
-
-    #[test]
-    fn consume_past_window_misses() {
-        let mut matlb = Matlb::new(2);
-        let tile = TileAccessPattern::new(VirtAddr::new(0), 8, 512, 8192);
-        let installed = matlb.prefetch(&tile, |page| {
-            Some(MatlbEntry {
-                page,
-                frame: page.page_number(),
-                flags: PageFlags::ro(),
-            })
-        });
-        assert_eq!(installed, 2, "capacity bounds the prefetch window");
-        // Jump straight to row 5 (page 10): both buffered entries mismatch.
-        assert!(matlb.consume(VirtAddr::new(5 * 8192)).is_none());
-        assert_eq!(matlb.misses(), 1);
-        assert_eq!(matlb.dropped(), 2);
-        assert!(matlb.is_empty());
-    }
-
-    #[test]
-    fn failed_walks_are_skipped() {
-        let mut matlb = Matlb::new(8);
-        let tile = TileAccessPattern::new(VirtAddr::new(0), 4, 512, 8192);
-        let installed = matlb.prefetch(&tile, |page| {
-            // Page 2 (row 1) is unmapped.
-            if page.page_number() == 2 {
-                None
-            } else {
-                Some(MatlbEntry {
-                    page,
-                    frame: 1,
-                    flags: PageFlags::rw(),
-                })
-            }
-        });
-        assert_eq!(installed, 3);
-    }
-
-    #[test]
-    fn clear_counts_drops() {
-        let mut matlb = Matlb::new(8);
-        let tile = TileAccessPattern::new(VirtAddr::new(0), 4, 512, 8192);
-        matlb.prefetch(&tile, |page| {
-            Some(MatlbEntry {
-                page,
-                frame: 0,
-                flags: PageFlags::rw(),
-            })
-        });
-        matlb.clear();
-        assert_eq!(matlb.dropped(), 4);
-        assert!(matlb.is_empty());
     }
 
     #[test]

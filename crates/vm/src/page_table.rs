@@ -7,6 +7,7 @@
 //! access latency the memory hierarchy can price — the cost the mATLB hides
 //! in Fig. 6.
 
+use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::addr::{
@@ -144,6 +145,10 @@ pub struct AddressSpace {
     /// Table nodes; index 0 is the root.
     tables: Vec<Box<[Descriptor; ENTRIES_PER_TABLE]>>,
     mapped_pages: u64,
+    /// The mapped pages as coalesced runs: first page number → one past
+    /// the last. Runs are disjoint and never adjacent, so a fully mapped
+    /// page range lies inside exactly one run.
+    runs: BTreeMap<u64, u64>,
     /// One-entry walk memo: leaf-region tag (`va` shifted past the leaf
     /// index, `PAGE_SHIFT + LEVEL_BITS` bits) → the three
     /// non-root node indices of its descriptor path. Sound with no
@@ -161,6 +166,7 @@ impl AddressSpace {
         AddressSpace {
             tables: vec![new_node()],
             mapped_pages: 0,
+            runs: BTreeMap::new(),
             walk_memo: std::cell::Cell::new(None),
         }
     }
@@ -193,34 +199,27 @@ impl AddressSpace {
         pa: PhysAddr,
         flags: PageFlags,
     ) -> Result<(), TranslateFault> {
-        let mut node = 0usize;
-        for level in 0..WALK_LEVELS - 1 {
-            let idx = va.level_index(level);
-            let desc = self.tables[node][idx];
-            node = if desc.is_valid() {
-                desc.frame() as usize
-            } else {
-                let next = self.tables.len();
-                self.tables.push(new_node());
-                self.tables[node][idx] = Descriptor::table(next as u64);
-                next
-            };
-        }
+        let node = self.leaf_table(va);
         let leaf_idx = va.level_index(WALK_LEVELS - 1);
         if self.tables[node][leaf_idx].is_valid() {
             return Err(TranslateFault::AlreadyMapped { va });
         }
         self.tables[node][leaf_idx] = Descriptor::leaf(pa.frame_number(), flags);
         self.mapped_pages += 1;
+        self.insert_run(va.page_number(), va.page_number() + 1);
         Ok(())
     }
 
     /// Maps `bytes` starting at `va` to consecutive frames starting at `pa`.
-    /// Both addresses must be page-aligned.
+    /// Both addresses must be page-aligned. The upper path is resolved once
+    /// per leaf table, not once per page; table nodes are allocated in the
+    /// same order as by page-wise [`AddressSpace::map`].
     ///
     /// # Errors
     ///
-    /// Propagates [`TranslateFault::AlreadyMapped`] from [`AddressSpace::map`].
+    /// Returns [`TranslateFault::AlreadyMapped`] for the first page that
+    /// already has a valid leaf; the pages before it stay mapped, as with
+    /// page-wise [`AddressSpace::map`].
     ///
     /// # Panics
     ///
@@ -235,11 +234,73 @@ impl AddressSpace {
         assert!(bytes > 0, "empty mapping");
         assert_eq!(va.page_offset(), 0, "va must be page-aligned");
         assert_eq!(pa.page_offset(), 0, "pa must be page-aligned");
-        let pages = va.pages_spanned(bytes);
-        for i in 0..pages {
-            self.map(va + i * PAGE_SIZE, pa + i * PAGE_SIZE, flags)?;
+        let first = va.page_number();
+        let end = first + va.pages_spanned(bytes);
+        let frame0 = pa.frame_number();
+        let mut vpn = first;
+        let mut result = Ok(());
+        'leaves: while vpn < end {
+            let node = self.leaf_table(VirtAddr::new(vpn << PAGE_SHIFT));
+            let idx = (vpn % ENTRIES_PER_TABLE as u64) as usize;
+            let count = (ENTRIES_PER_TABLE - idx).min((end - vpn) as usize);
+            for slot in &mut self.tables[node][idx..idx + count] {
+                if slot.is_valid() {
+                    result = Err(TranslateFault::AlreadyMapped {
+                        va: VirtAddr::new(vpn << PAGE_SHIFT),
+                    });
+                    break 'leaves;
+                }
+                *slot = Descriptor::leaf(frame0 + (vpn - first), flags);
+                vpn += 1;
+            }
         }
-        Ok(())
+        self.mapped_pages += vpn - first;
+        if vpn > first {
+            self.insert_run(first, vpn);
+        }
+        result
+    }
+
+    /// Whether every page from `lo_vpn` to `hi_vpn` (inclusive page
+    /// numbers) is mapped: one lookup in the coalesced mapped runs.
+    pub fn range_mapped(&self, lo_vpn: u64, hi_vpn: u64) -> bool {
+        self.runs
+            .range(..=lo_vpn)
+            .next_back()
+            .is_some_and(|(_, &end)| end > hi_vpn)
+    }
+
+    /// The leaf table covering `va`, allocating missing upper-level nodes
+    /// on the way down.
+    fn leaf_table(&mut self, va: VirtAddr) -> usize {
+        let mut node = 0usize;
+        for level in 0..WALK_LEVELS - 1 {
+            let idx = va.level_index(level);
+            let desc = self.tables[node][idx];
+            node = if desc.is_valid() {
+                desc.frame() as usize
+            } else {
+                let next = self.tables.len();
+                self.tables.push(new_node());
+                self.tables[node][idx] = Descriptor::table(next as u64);
+                next
+            };
+        }
+        node
+    }
+
+    /// Records the newly mapped pages `[lo, hi)`, which touch no existing
+    /// run, merging them with the runs ending at `lo` and starting at `hi`.
+    fn insert_run(&mut self, mut lo: u64, mut hi: u64) {
+        if let Some((&start, &end)) = self.runs.range(..lo).next_back() {
+            if end == lo {
+                lo = start;
+            }
+        }
+        if let Some(end) = self.runs.remove(&hi) {
+            hi = end;
+        }
+        self.runs.insert(lo, hi);
     }
 
     /// Removes the mapping for the page containing `va`.
@@ -265,6 +326,20 @@ impl AddressSpace {
         }
         self.tables[node][leaf_idx] = Descriptor::default();
         self.mapped_pages -= 1;
+        let vpn = va.page_number();
+        let (&start, &end) = self
+            .runs
+            .range(..=vpn)
+            .next_back()
+            .expect("a mapped page lies in a run");
+        if start < vpn {
+            self.runs.insert(start, vpn);
+        } else {
+            self.runs.remove(&start);
+        }
+        if vpn + 1 < end {
+            self.runs.insert(vpn + 1, end);
+        }
         Ok(())
     }
 
@@ -505,6 +580,48 @@ mod tests {
                 .translate(VirtAddr::new(0x10_0000 + i * PAGE_SIZE))
                 .unwrap();
             assert_eq!(pa.raw(), 0x20_0000 + i * PAGE_SIZE);
+        }
+    }
+
+    /// Page-wise reference for [`AddressSpace::map_range`].
+    fn map_range_pagewise(
+        s: &mut AddressSpace,
+        va: VirtAddr,
+        pa: PhysAddr,
+        bytes: u64,
+    ) -> Result<(), TranslateFault> {
+        for i in 0..va.pages_spanned(bytes) {
+            s.map(va + i * PAGE_SIZE, pa + i * PAGE_SIZE, PageFlags::rw())?;
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn map_range_matches_pagewise_map_over_random_ranges() {
+        let mut rng = maco_sim::SplitMix64::new(0x5eed);
+        for round in 0..40 {
+            let mut fast = AddressSpace::new();
+            let mut slow = AddressSpace::new();
+            let mut frame = 0x100_0000u64;
+            for _ in 0..6 {
+                // Ranges up to three leaf tables long, in a window small
+                // enough that they overlap (and fail part-way) often.
+                let first = rng.next_below(4 * ENTRIES_PER_TABLE as u64);
+                let pages = 1 + rng.next_below(3 * ENTRIES_PER_TABLE as u64);
+                let va = VirtAddr::new((round % 3) << 39 | first << PAGE_SHIFT);
+                let pa = PhysAddr::new(frame);
+                frame += pages * PAGE_SIZE;
+                let got = fast.map_range(va, pa, pages * PAGE_SIZE, PageFlags::rw());
+                let want = map_range_pagewise(&mut slow, va, pa, pages * PAGE_SIZE);
+                assert_eq!(got, want, "round {round}");
+                assert_eq!(fast.table_count(), slow.table_count());
+                assert_eq!(fast.mapped_pages(), slow.mapped_pages());
+            }
+            for page in 0..8 * ENTRIES_PER_TABLE as u64 {
+                let va = VirtAddr::new((round % 3) << 39 | page << PAGE_SHIFT);
+                assert_eq!(fast.translate(va), slow.translate(va), "{va}");
+                assert_eq!(fast.walk_path(va), slow.walk_path(va), "{va}");
+            }
         }
     }
 

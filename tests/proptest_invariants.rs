@@ -8,12 +8,43 @@ use maco::isa::{Asid, ExceptionType, Precision};
 use maco::mmae::config::TilingConfig;
 use maco::mmae::systolic::{reference_gemm, SystolicArray};
 use maco::mmae::tiling::{block_passes, tiles_in_pass};
+use maco::mmae::translate::{StreamTranslation, TranslationContext};
 use maco::mmae::Mmae;
 use maco::noc::routing::xy_route;
 use maco::noc::sfc::TileOrder;
 use maco::noc::topology::{MeshShape, NodeId};
+use maco::sim::SimDuration;
 use maco::vm::matlb::TileAccessPattern;
-use maco::vm::VirtAddr;
+use maco::vm::page_table::{AddressSpace, PageFlags, TranslateFault};
+use maco::vm::tlb::Tlb;
+use maco::vm::walker::PageTableWalker;
+use maco::vm::{PhysAddr, VirtAddr, PAGE_SIZE};
+
+/// First page of the window the address-space properties work in; it
+/// straddles a leaf-table boundary (512 pages) so ranges cross tables.
+const WINDOW_VPN: u64 = 0x1_0000 - 40;
+/// Pages in that window.
+const WINDOW_PAGES: u64 = 96;
+
+/// Applies random `(kind, page, len)` operations inside the window:
+/// `map_range`, a single `map` or an `unmap`. Failures (double maps,
+/// unmapping a hole) are part of the sequence and leave the space as the
+/// operation left it.
+fn random_space(ops: &[(u8, u64, u64)]) -> AddressSpace {
+    let mut space = AddressSpace::new();
+    let mut frame = 0x100_0000u64;
+    for &(kind, page, len) in ops {
+        let va = VirtAddr::new((WINDOW_VPN + page) * PAGE_SIZE);
+        frame += len * PAGE_SIZE;
+        let pa = PhysAddr::new(frame);
+        let _ = match kind {
+            0 => space.map_range(va, pa, len * PAGE_SIZE, PageFlags::rw()),
+            1 => space.map(va, pa, PageFlags::ro()),
+            _ => space.unmap(va),
+        };
+    }
+    space
+}
 
 proptest! {
     /// Every output element of a GEMM is covered exactly once per
@@ -79,7 +110,79 @@ proptest! {
                 }
             }
         }
+        prop_assert_eq!(pattern.distinct_page_count(), brute.len() as u64);
+        prop_assert_eq!(pattern.page_span(), (brute[0], *brute.last().unwrap()));
         prop_assert_eq!(predicted, brute);
+    }
+
+    /// Predictive `translate_stream` (closed-form count, one mapped-range
+    /// check) equals walking every predicted page: the same counters on
+    /// success, the same first fault otherwise, and the sTLB and walker
+    /// are left untouched.
+    #[test]
+    fn predictive_translation_matches_the_per_page_reference(
+        ops in proptest::collection::vec((0u8..3, 0u64..WINDOW_PAGES, 1u64..40), 0..12),
+        offset in 0u64..WINDOW_PAGES * PAGE_SIZE,
+        rows in 1u64..24,
+        row_bytes in 1u64..9000,
+        extra_stride in 0u64..12_000,
+    ) {
+        let space = random_space(&ops);
+        let pattern = TileAccessPattern::new(
+            VirtAddr::new(WINDOW_VPN * PAGE_SIZE + offset),
+            rows,
+            row_bytes,
+            row_bytes + extra_stride,
+        );
+        let mut reference_walker = PageTableWalker::new(2);
+        let reference: Result<StreamTranslation, TranslateFault> = pattern
+            .predicted_pages()
+            .try_fold(0u64, |pages, page| {
+                reference_walker.walk_frame(&space, page).map(|_| pages + 1)
+            })
+            .map(|pages| StreamTranslation {
+                pages,
+                matlb_hits: pages,
+                ..StreamTranslation::default()
+            });
+        let mut stlb = Tlb::new(64);
+        let mut walker = PageTableWalker::new(2);
+        let mut ctx = TranslationContext {
+            asid: Asid::new(1),
+            space: &space,
+            stlb: &mut stlb,
+            walker: &mut walker,
+            prediction: true,
+            walk_read_latency: SimDuration::from_ns(30),
+        };
+        prop_assert_eq!(ctx.translate_stream(&pattern), reference);
+        prop_assert_eq!((stlb.hits(), stlb.misses(), walker.walks()), (0, 0, 0));
+    }
+
+    /// `range_mapped` agrees with page-by-page translation for every
+    /// page range in the window, under random `map`, `map_range` and
+    /// `unmap` sequences.
+    #[test]
+    fn range_mapped_agrees_with_per_page_translate(
+        ops in proptest::collection::vec((0u8..3, 0u64..WINDOW_PAGES, 1u64..40), 0..16),
+    ) {
+        let space = random_space(&ops);
+        // A page past each end of the window, so runs reaching it count.
+        let lo_vpn = WINDOW_VPN - 1;
+        let mapped: Vec<bool> = (lo_vpn..=WINDOW_VPN + WINDOW_PAGES)
+            .map(|vpn| space.translate(VirtAddr::new(vpn * PAGE_SIZE)).is_ok())
+            .collect();
+        for lo in 0..mapped.len() {
+            let mut all = true;
+            for (hi, &page_mapped) in mapped.iter().enumerate().skip(lo) {
+                all &= page_mapped;
+                prop_assert_eq!(
+                    space.range_mapped(lo_vpn + lo as u64, lo_vpn + hi as u64),
+                    all,
+                    "pages {}..={}", lo, hi
+                );
+            }
+        }
     }
 
     /// Non-overlapping ascending rows make the predicted page sequence
