@@ -5,7 +5,6 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use maco_isa::params::GemmParams;
 use maco_isa::{Asid, Precision};
-use maco_mem::cache::SetAssocCache;
 use maco_mmae::systolic::SystolicArray;
 use maco_mmae::tiling::block_passes;
 use maco_mmae::translate::TranslationContext;
@@ -87,17 +86,6 @@ fn bench_tlb(c: &mut Criterion) {
                     flags: PageFlags::rw(),
                 },
             )
-        })
-    });
-}
-
-fn bench_cache(c: &mut Criterion) {
-    c.bench_function("cache/l2_streaming", |bench| {
-        let mut l2 = SetAssocCache::new(512 * 1024, 8);
-        let mut addr = 0u64;
-        bench.iter(|| {
-            addr += 64;
-            black_box(l2.read(addr))
         })
     });
 }
@@ -197,7 +185,6 @@ criterion_group!(
     benches,
     bench_systolic,
     bench_tlb,
-    bench_cache,
     bench_page_table,
     bench_matlb,
     bench_translate,

@@ -1,8 +1,9 @@
-//! `perf_baseline` — the tracked wall-clock performance baseline.
+//! `perf_baseline` — the simulated-outcome fingerprint gate.
 //!
-//! Times the three hot surfaces of the reproduction and emits
-//! `BENCH_perf.json` so PRs can show before/after numbers instead of
-//! regressing the sweep costs silently:
+//! Runs every hot surface of the reproduction once and emits
+//! `BENCH_perf.json`, one entry per scenario with a *fingerprint* folding
+//! its simulated results, so a change to simulated outcomes cannot land
+//! silently. Host time is measured by the `perfbench` package, not here.
 //!
 //! * `kernel_*` — the functional GEMM kernels (`Mmae::gemm_functional`)
 //!   at each precision;
@@ -12,16 +13,12 @@
 //!   nodes, 8 tenants, mixed BERT/GPT-3/ResNet trace, all three
 //!   policies), fingerprinting every schedule;
 //! * `serve_throughput_mt4` — the same trace sharded over 4 OS threads by
-//!   the replica runner (its `speedup_vs_1t` field is wall-clock only;
-//!   per-shard simulated outcomes are bit-identical to single-thread);
-//! * `serve_int8_mixed` — the quantized serving co-simulation: the same
-//!   16-node trace shape under the `TraceConfig::quantized` INT8/FP16
-//!   tenant ladder, all three policies, fingerprinting every schedule so
-//!   the mixed-precision serving path is pinned like the FP32 one;
+//!   the replica runner (per-shard simulated outcomes are bit-identical
+//!   to single-thread);
+//! * `serve_int8_mixed` — the same trace shape under the
+//!   `TraceConfig::quantized` INT8/FP16 tenant ladder, all three policies;
 //! * `explore_sweep` — a `maco-explore` design-space sweep (nodes ×
-//!   prediction × stash/lock with all four baseline comparators), whose
-//!   sweep fingerprint pins the explorer's simulated outcomes under the
-//!   strict gate exactly like the serving schedules;
+//!   prediction × stash/lock with all four baseline comparators);
 //! * `autotune_sweep` — the roofline autotuner validation sweep
 //!   (`maco_explore::autotune`): at every (precision, size, CCM
 //!   bandwidth) grid point the autotuned tiling is simulated against
@@ -31,35 +28,32 @@
 //!   fleet trace on one 16-node machine vs a 4×4-node fleet at the
 //!   bandwidth-constrained uncore point, with `speedup_vs_one_machine`
 //!   recording the fleet's throughput advantage at equal total nodes;
-//! * `cluster_failover` — the failover stressor: the failure-storm trace
-//!   on a 4×4-node fleet with two fixed-instant machine kills mid-burst
-//!   (one recovery), pinning the failover schedule, the fault-timeline
-//!   fingerprint and the worst failure-to-re-placement latency;
+//! * `cluster_failover` — the failure-storm trace on a 4×4-node fleet
+//!   with two machine kills mid-burst (one recovery), pinning the
+//!   schedule, the fault timeline and the telemetry trace;
 //! * `serve_throughput_100k` — the event-core throughput stressor: 10⁵
 //!   all-micro single-layer requests (10⁴ in quick mode) streamed through
-//!   a 4×4-node fleet, asserting near-linear wall-clock scaling in trace
-//!   length (full mode measures 10⁴ vs 10⁵);
+//!   a 4×4-node fleet; full mode also runs 10⁴ and asserts near-linear
+//!   wall-clock scaling from 10⁴ to 10⁵;
 //! * `placement_sfc` — the communication-avoiding placement head-to-head
 //!   (`maco_explore::placement`): every tile→node ordering on a partial
 //!   4×4 mesh scored by NoC hop·flits, and `Placement::SfcLocality`
 //!   against the three classic fleet policies scored by attributed
-//!   interconnect bytes per job; the wins are asserted on every run and
-//!   the sweep fingerprint pins both halves under the strict gate.
+//!   interconnect bytes per job; the wins are asserted on every run.
 //!
-//! Every bench also records a *fingerprint* folding the simulated results
-//! (output bits for kernels, makespans and efficiencies for system runs).
-//! Fingerprints must be identical across optimisation PRs — wall-clock may
-//! change, simulated outcomes may not.
+//! Fingerprints fold output bits for kernels and makespans, efficiencies
+//! and schedule fingerprints for system runs.
 //!
 //! Flags:
 //!
 //! * `--quick`  — trimmed sizes for CI smoke runs;
 //! * `--out P`  — write the JSON report to `P` (default `BENCH_perf.json`);
-//! * `--before P` — read a previous report and embed its numbers as the
-//!   "before" column, with speedups and a fingerprint match check;
-//! * `--strict` — exit non-zero if any fingerprint differs from the
-//!   `--before` report (CI runs this against the committed quick-mode
-//!   baseline, so a simulated-outcome change cannot land silently).
+//! * `--before P` — compare every scenario with its entry in a previous
+//!   report and record `fingerprint_match` per entry;
+//! * `--strict` — exit non-zero unless every scenario matched its
+//!   `--before` entry: a missing `--before`, a missing entry or a trace
+//!   fingerprint on one side only counts as a mismatch (CI runs this
+//!   against the committed baselines).
 
 use std::time::Instant;
 
@@ -69,17 +63,15 @@ use maco_core::TileOrder;
 use maco_explore::{autotune_sweep_full, autotune_sweep_quick, Explorer, SweepGrid};
 use maco_explore::{placement_sweep, PlacementReport};
 use maco_isa::Precision;
-use maco_mmae::kernels::{GemmOperands, GemmScratch};
 use maco_mmae::Mmae;
 use maco_serve::{run_replicas, Policy, ServeConfig, Server, Tenant};
 use maco_sim::{SimDuration, SimTime};
-use maco_telemetry::{PhaseProfile, TraceSink};
+use maco_telemetry::TraceSink;
 use maco_workloads::gemm::fill_random_matrix;
 use maco_workloads::trace::{self, TraceConfig};
 
 struct BenchResult {
     name: String,
-    wall_ms: f64,
     detail: String,
     fingerprint: String,
     /// Extra raw JSON fields (`, "k": v` snippets) appended to the entry.
@@ -90,14 +82,12 @@ struct BenchResult {
 /// serving layer's fingerprint fold — one implementation, shared).
 use maco_serve::report::fold_fingerprint as fold_bits;
 
-fn kernel_bench(precision: Precision, n: usize, reps: u32) -> BenchResult {
-    let engine = Mmae::new(Default::default());
-    let mut a = Vec::new();
-    let mut b = Vec::new();
-    let mut c = Vec::new();
-    fill_random_matrix(101, n, n, &mut a);
-    fill_random_matrix(102, n, n, &mut b);
-    fill_random_matrix(103, n, n, &mut c);
+fn kernel_bench(precision: Precision, n: usize) -> BenchResult {
+    let [mut a, mut b, mut c] = [101, 102, 103].map(|seed| {
+        let mut m = Vec::new();
+        fill_random_matrix(seed, n, n, &mut m);
+        m
+    });
     if precision == Precision::Int8 {
         // The random fill draws from [-0.5, 0.5), which quantizes to an
         // all-zero i8 problem; spread it across the full signed range so
@@ -106,40 +96,17 @@ fn kernel_bench(precision: Precision, n: usize, reps: u32) -> BenchResult {
             m.iter_mut().for_each(|v| *v *= 254.0);
         }
     }
-    let mut scratch = GemmScratch::new();
-    let mut y = Vec::new();
-    let ops = GemmOperands::new(&a, &b, &c, n, n, n);
-    // Warm-up pass (faults pages, sizes the scratch), then timed reps.
-    engine.gemm_functional_with(&mut scratch, ops, precision, &mut y);
-    let mut fp = 0u64;
-    for v in &y {
-        fp = fold_bits(fp, v.to_bits());
-    }
-    let t0 = Instant::now();
-    for _ in 0..reps {
-        engine.gemm_functional_with(&mut scratch, ops, precision, &mut y);
-    }
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3 / reps as f64;
+    let y = Mmae::new(Default::default()).gemm_functional(&a, &b, &c, n, n, n, precision);
+    let fp = y.iter().fold(0, |fp, v| fold_bits(fp, v.to_bits()));
     BenchResult {
-        name: format!("kernel_{}", precision_tag(precision)),
-        wall_ms,
-        detail: format!("{n}x{n}x{n} gemm_functional, {reps} reps"),
+        name: format!("kernel_{precision}"),
+        detail: format!("{n}x{n}x{n} gemm_functional"),
         fingerprint: format!("{fp:016x}"),
         extra: String::new(),
     }
 }
 
-fn precision_tag(p: Precision) -> &'static str {
-    match p {
-        Precision::Fp64 => "fp64",
-        Precision::Fp32 => "fp32",
-        Precision::Fp16 => "fp16",
-        Precision::Int8 => "int8",
-    }
-}
-
 fn system_bench(name: &str, nodes: usize, sizes: &[u64]) -> BenchResult {
-    let t0 = Instant::now();
     let mut fp = 0u64;
     for &n in sizes {
         let mut sys = MacoSystem::new(SystemConfig {
@@ -157,7 +124,6 @@ fn system_bench(name: &str, nodes: usize, sizes: &[u64]) -> BenchResult {
     }
     BenchResult {
         name: name.to_string(),
-        wall_ms: t0.elapsed().as_secs_f64() * 1e3,
         detail: format!("{nodes}-node sizes {sizes:?}"),
         fingerprint: format!("{fp:016x}"),
         extra: String::new(),
@@ -184,61 +150,47 @@ fn serve_trace(quick: bool) -> (SystemConfig, Vec<Tenant>, Vec<trace::TraceReque
 /// Serving co-simulation under all three policies, single-threaded; the
 /// fingerprint folds the three schedule fingerprints.
 fn serve_bench(quick: bool) -> BenchResult {
-    let mut prof = PhaseProfile::new();
-    let (system, tenants, trace) = prof.time("gen", || serve_trace(quick));
-    let t0 = Instant::now();
+    let (system, tenants, trace) = serve_trace(quick);
     let mut fp = 0u64;
     let mut jobs = 0u64;
     for policy in Policy::ALL {
-        let mut server = prof.time("build", || {
-            Server::new(
-                MacoSystem::new(system.clone()),
-                tenants.clone(),
-                ServeConfig::with_policy(policy),
-            )
-        });
-        let report = prof
-            .time("run", || server.run_trace(&trace))
-            .expect("trace completes");
+        let mut server = Server::new(
+            MacoSystem::new(system.clone()),
+            tenants.clone(),
+            ServeConfig::with_policy(policy),
+        );
+        let report = server.run_trace(&trace).expect("trace completes");
         fp = fold_bits(fp, report.fingerprint);
         fp = fold_bits(fp, report.makespan.as_fs());
         jobs += report.jobs_completed;
     }
     BenchResult {
         name: "serve_throughput".to_string(),
-        wall_ms: t0.elapsed().as_secs_f64() * 1e3,
         detail: format!(
             "16-node 8-tenant mixed trace, {} requests x 3 policies, {jobs} jobs",
             trace.len()
         ),
         fingerprint: format!("{fp:016x}"),
-        extra: prof.json_fields(),
+        extra: String::new(),
     }
 }
 
-/// The same trace sharded over OS threads by the replica runner. Returns
-/// the bench entry plus the wall-clock speedup vs the 1-thread run of the
-/// same sharding workload.
-fn serve_replica_bench(quick: bool, threads: usize) -> (BenchResult, f64) {
+/// The same trace sharded over OS threads by the replica runner.
+fn serve_replica_bench(quick: bool, threads: usize) -> BenchResult {
     let (system, tenants, trace) = serve_trace(quick);
     let config = ServeConfig::default();
-    let single = run_replicas(&system, &tenants, &config, std::slice::from_ref(&trace))
-        .expect("single shard completes");
     let shards = trace::shard_balanced(&trace, threads);
     let outcome = run_replicas(&system, &tenants, &config, &shards).expect("replicas complete");
-    let speedup = single.wall.as_secs_f64() / outcome.wall.as_secs_f64().max(1e-9);
-    let bench = BenchResult {
+    BenchResult {
         name: format!("serve_throughput_mt{threads}"),
-        wall_ms: outcome.wall.as_secs_f64() * 1e3,
         detail: format!(
             "replica runner, {} requests over {threads} threads ({} jobs)",
             trace.len(),
             outcome.jobs_completed()
         ),
         fingerprint: format!("{:016x}", outcome.fingerprint),
-        extra: format!(", \"speedup_vs_1t\": {speedup:.2}"),
-    };
-    (bench, speedup)
+        extra: String::new(),
+    }
 }
 
 /// Quantized serving co-simulation: the serve-bench trace shape under the
@@ -255,8 +207,6 @@ fn serve_int8_bench(quick: bool) -> BenchResult {
     };
     let trace = trace::generate(&config);
     let tenants = Tenant::fleet(config.tenants);
-    let mut prof = PhaseProfile::new();
-    let t0 = Instant::now();
     let mut fp = 0u64;
     let mut jobs = 0u64;
     let mut flops = 0u64;
@@ -266,9 +216,7 @@ fn serve_int8_bench(quick: bool) -> BenchResult {
             tenants.clone(),
             ServeConfig::with_policy(policy),
         );
-        let report = prof
-            .time("run", || server.run_trace(&trace))
-            .expect("trace completes");
+        let report = server.run_trace(&trace).expect("trace completes");
         fp = fold_bits(fp, report.fingerprint);
         fp = fold_bits(fp, report.makespan.as_fs());
         jobs += report.jobs_completed;
@@ -276,13 +224,12 @@ fn serve_int8_bench(quick: bool) -> BenchResult {
     }
     BenchResult {
         name: "serve_int8_mixed".to_string(),
-        wall_ms: t0.elapsed().as_secs_f64() * 1e3,
         detail: format!(
             "16-node INT8/FP16 tenant ladder, {} requests x 3 policies, {jobs} jobs",
             trace.len()
         ),
         fingerprint: format!("{fp:016x}"),
-        extra: format!(", \"total_flops\": {flops}{}", prof.json_fields()),
+        extra: format!(", \"total_flops\": {flops}"),
     }
 }
 
@@ -303,9 +250,7 @@ fn explore_bench(quick: bool) -> BenchResult {
         stash_lock: vec![true, false],
         ..SweepGrid::default()
     };
-    let t0 = Instant::now();
     let report = Explorer::new().threads(4).run(&grid);
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     let serial = Explorer::new().run(&grid);
     assert_eq!(
         report.fingerprint, serial.fingerprint,
@@ -314,7 +259,6 @@ fn explore_bench(quick: bool) -> BenchResult {
     let frontier = report.pareto_frontier().len();
     BenchResult {
         name: "explore_sweep".to_string(),
-        wall_ms,
         detail: format!(
             "{} points x 5 systems, {frontier}-point Pareto frontier",
             report.points.len()
@@ -332,18 +276,15 @@ fn explore_bench(quick: bool) -> BenchResult {
 /// fingerprint — chosen tilings and all simulated makespans — so the
 /// strict gate pins the model's choices and the machines they drive.
 fn autotune_bench(quick: bool) -> BenchResult {
-    let t0 = Instant::now();
     let sweep = if quick {
         autotune_sweep_quick()
     } else {
         autotune_sweep_full()
     };
     sweep.assert_unbeaten();
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     let candidates: usize = sweep.points.iter().map(|p| p.candidates.len()).sum();
     BenchResult {
         name: "autotune_sweep".to_string(),
-        wall_ms,
         detail: format!(
             "{} grid points, {candidates} fixed-candidate sims, autotuned unbeaten everywhere",
             sweep.points.len()
@@ -369,22 +310,14 @@ fn cluster_bench(quick: bool) -> BenchResult {
     };
     let trace = trace::generate(&trace_config);
     let tenants = Tenant::fleet(trace_config.tenants);
-    let t0 = Instant::now();
-    let mut prof = PhaseProfile::new();
     let mut one = Cluster::new(ClusterSpec::bandwidth_constrained(1, 16), tenants.clone());
-    let r1 = prof
-        .time("one_machine", || one.run_trace(&trace))
-        .expect("one-machine fleet completes");
+    let r1 = one.run_trace(&trace).expect("one-machine fleet completes");
     let mut four = Cluster::new(ClusterSpec::bandwidth_constrained(4, 4), tenants);
-    let r4 = prof
-        .time("four_machine", || four.run_trace(&trace))
-        .expect("4-machine fleet completes");
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let r4 = four.run_trace(&trace).expect("4-machine fleet completes");
     let speedup = r4.total_gflops() / r1.total_gflops().max(1e-9);
     let fp = fold_bits(fold_bits(0, r1.fingerprint), r4.fingerprint);
     BenchResult {
         name: "cluster_throughput".to_string(),
-        wall_ms,
         detail: format!(
             "fleet trace {} requests: 1x16 {:.0} GFLOPS vs 4x4 {:.0} GFLOPS ({} splits, {} migrations)",
             trace.len(),
@@ -395,9 +328,8 @@ fn cluster_bench(quick: bool) -> BenchResult {
         ),
         fingerprint: format!("{fp:016x}"),
         extra: format!(
-            ", \"speedup_vs_one_machine\": {speedup:.2}, \"fleet_gflops\": {:.1}{}",
+            ", \"speedup_vs_one_machine\": {speedup:.2}, \"fleet_gflops\": {:.1}",
             r4.total_gflops(),
-            prof.json_fields(),
         ),
     }
 }
@@ -426,13 +358,8 @@ fn failover_bench(quick: bool) -> BenchResult {
         .with_failure(1, kill_1, None)
         .with_failure(2, kill_2, Some(kill_2 + SimDuration::from_us(100)));
     let spec = ClusterSpec::bandwidth_constrained(4, 4).with_faults(faults);
-    let t0 = Instant::now();
-    let mut prof = PhaseProfile::new();
     let mut fleet = Cluster::new(spec.clone(), tenants.clone());
-    let report = prof
-        .time("run", || fleet.run_trace(&trace))
-        .expect("failover fleet completes");
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let report = fleet.run_trace(&trace).expect("failover fleet completes");
     assert_eq!(report.fault.jobs_lost, 0, "failover dropped a job");
     assert_eq!(report.fault.failures, 2);
     assert_eq!(report.fault.recoveries, 1);
@@ -445,8 +372,8 @@ fn failover_bench(quick: bool) -> BenchResult {
     let sink = TraceSink::on();
     let mut traced = Cluster::new(spec, tenants);
     traced.set_trace_sink(sink.clone());
-    let report_traced = prof
-        .time("traced_rerun", || traced.run_trace(&trace))
+    let report_traced = traced
+        .run_trace(&trace)
         .expect("traced failover fleet completes");
     assert_eq!(
         report.fingerprint, report_traced.fingerprint,
@@ -459,7 +386,6 @@ fn failover_bench(quick: bool) -> BenchResult {
     let trace_fp = sink.fingerprint().expect("sink is on");
     BenchResult {
         name: "cluster_failover".to_string(),
-        wall_ms,
         detail: format!(
             "4x4 fleet, {} requests, 2 kills (1 recovery): {} re-placed, \
              {:.1}% available, recovery latency {:.1} us",
@@ -472,13 +398,12 @@ fn failover_bench(quick: bool) -> BenchResult {
         extra: format!(
             ", \"fault_fingerprint\": \"{:016x}\", \"trace_fingerprint\": \"{trace_fp:016x}\", \
              \"trace_events\": {}, \"recovery_latency_ns\": {:.0}, \
-             \"jobs_replaced\": {}, \"availability\": {:.4}{}",
+             \"jobs_replaced\": {}, \"availability\": {:.4}",
             report.fault.fingerprint,
             sink.recorded(),
             report.fault.recovery_latency_max.as_ns(),
             report.fault.jobs_replaced,
             report.fault.availability,
-            prof.json_fields(),
         ),
     }
 }
@@ -510,46 +435,25 @@ fn micro_fleet_run(requests: usize) -> (f64, u64, u64) {
 /// strict gate like every other scenario.
 fn throughput_100k_bench(quick: bool) -> BenchResult {
     let base = 10_000usize;
-    let mut prof = PhaseProfile::new();
     let (base_wall, base_fp, base_jobs) = micro_fleet_run(base);
-    prof.add_ms("base", base_wall * 1e3);
-    if quick {
-        return BenchResult {
-            name: "serve_throughput_100k".to_string(),
-            wall_ms: base_wall * 1e3,
-            detail: format!(
-                "micro fleet 4x4 nodes, {base} requests ({base_jobs} jobs), quick-scale"
-            ),
-            fingerprint: format!("{base_fp:016x}"),
-            extra: format!(
-                ", \"requests_per_sec\": {:.0}{}",
-                base as f64 / base_wall,
-                prof.json_fields()
-            ),
-        };
-    }
-    let big = base * 10;
-    let (big_wall, big_fp, big_jobs) = micro_fleet_run(big);
-    prof.add_ms("big", big_wall * 1e3);
-    let scaling = big_wall / base_wall.max(1e-9);
-    assert!(
-        scaling < 20.0,
-        "event core is super-linear: {big} requests cost {scaling:.1}x the wall clock \
-         of {base} (near-linear would be ~10x)"
-    );
+    let (requests, fp, jobs) = if quick {
+        (base, base_fp, base_jobs)
+    } else {
+        let big = base * 10;
+        let (big_wall, big_fp, big_jobs) = micro_fleet_run(big);
+        let scaling = big_wall / base_wall.max(1e-9);
+        assert!(
+            scaling < 20.0,
+            "event core is super-linear: {big} requests cost {scaling:.1}x the wall clock \
+             of {base} (near-linear would be ~10x)"
+        );
+        (big, big_fp, big_jobs)
+    };
     BenchResult {
         name: "serve_throughput_100k".to_string(),
-        wall_ms: big_wall * 1e3,
-        detail: format!(
-            "micro fleet 4x4 nodes, {big} requests ({big_jobs} jobs), \
-             {scaling:.1}x wall vs {base} requests"
-        ),
-        fingerprint: format!("{big_fp:016x}"),
-        extra: format!(
-            ", \"requests_per_sec\": {:.0}, \"scaling_10x\": {scaling:.2}{}",
-            big as f64 / big_wall,
-            prof.json_fields()
-        ),
+        detail: format!("micro fleet 4x4 nodes, {requests} requests ({jobs} jobs)"),
+        fingerprint: format!("{fp:016x}"),
+        extra: String::new(),
     }
 }
 
@@ -565,9 +469,7 @@ fn placement_bench(quick: bool) -> BenchResult {
         requests: if quick { 16 } else { 48 },
         ..TraceConfig::fleet(if quick { 7 } else { 0xF1EE7 })
     };
-    let t0 = Instant::now();
     let report: PlacementReport = placement_sweep(4, &trace_config);
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     report.assert_communication_avoiding();
     let row = report.hop_flits_of(TileOrder::Row).expect("row swept");
     let hilbert = report
@@ -589,7 +491,6 @@ fn placement_bench(quick: bool) -> BenchResult {
         .expect("sfc swept");
     BenchResult {
         name: "placement_sfc".to_string(),
-        wall_ms,
         detail: format!(
             "hilbert {hilbert} vs row {row} hop·flits; sfc-locality {sfc:.0} vs \
              worst classic {worst:.0} bytes/job over {} requests",
@@ -623,6 +524,41 @@ fn before_entry<'a>(report: &'a str, name: &str) -> Option<&'a str> {
     Some(&report[at..end])
 }
 
+/// Compares one scenario with its entry in the `--before` report and
+/// returns every mismatch. The fingerprint must be present and equal; a
+/// trace fingerprint must be on both sides and equal, or on neither. No
+/// report and no entry are mismatches too, so the strict gate cannot pass
+/// without comparing.
+fn compare(before: Option<&str>, r: &BenchResult) -> Vec<String> {
+    let Some(report) = before else {
+        return vec![format!("{}: no --before report", r.name)];
+    };
+    let Some(prev) = before_entry(report, &r.name) else {
+        return vec![format!("{}: no entry in --before", r.name)];
+    };
+    let mut mismatches = Vec::new();
+    let prev_fp = json_field(prev, "fingerprint");
+    if prev_fp != Some(r.fingerprint.as_str()) {
+        mismatches.push(format!(
+            "{}: {} != {}",
+            r.name,
+            r.fingerprint,
+            prev_fp.unwrap_or("missing")
+        ));
+    }
+    let prev_t = json_field(prev, "trace_fingerprint");
+    let cur_t = json_field(&r.extra, "trace_fingerprint");
+    if prev_t != cur_t {
+        mismatches.push(format!(
+            "{} trace: {} != {}",
+            r.name,
+            cur_t.unwrap_or("missing"),
+            prev_t.unwrap_or("missing")
+        ));
+    }
+    mismatches
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
@@ -638,7 +574,7 @@ fn main() {
         std::fs::read_to_string(&p).unwrap_or_else(|e| panic!("cannot read --before {p}: {e}"))
     });
 
-    let (kn, kreps) = if quick { (128, 1) } else { (512, 3) };
+    let kn = if quick { 128 } else { 512 };
     let fig6_sizes: &[u64] = if quick {
         &[256, 1024]
     } else {
@@ -646,36 +582,34 @@ fn main() {
     };
     let fig7_sizes: &[u64] = if quick { &[1024] } else { &[2048, 4096, 9216] };
 
-    eprintln!("perf_baseline: timing kernels ({kn}^3, {kreps} reps)...");
+    eprintln!("perf_baseline: kernels ({kn}^3)...");
     let mut results = vec![
-        kernel_bench(Precision::Fp64, kn, kreps),
-        kernel_bench(Precision::Fp32, kn, kreps),
-        kernel_bench(Precision::Fp16, kn, kreps),
-        kernel_bench(Precision::Int8, kn, kreps),
+        kernel_bench(Precision::Fp64, kn),
+        kernel_bench(Precision::Fp32, kn),
+        kernel_bench(Precision::Fp16, kn),
+        kernel_bench(Precision::Int8, kn),
     ];
-    eprintln!("perf_baseline: timing single-node fig6 sweep {fig6_sizes:?}...");
+    eprintln!("perf_baseline: single-node fig6 sweep {fig6_sizes:?}...");
     results.push(system_bench("single_node_fig6", 1, fig6_sizes));
-    eprintln!("perf_baseline: timing 16-node fig7 sweep {fig7_sizes:?}...");
+    eprintln!("perf_baseline: 16-node fig7 sweep {fig7_sizes:?}...");
     results.push(system_bench("fig7_16node", 16, fig7_sizes));
-    eprintln!("perf_baseline: timing multi-tenant serving (3 policies)...");
+    eprintln!("perf_baseline: multi-tenant serving (3 policies)...");
     results.push(serve_bench(quick));
-    eprintln!("perf_baseline: timing threaded replica serving...");
-    let (mt, speedup) = serve_replica_bench(quick, 4);
-    eprintln!("perf_baseline: replica speedup vs 1 thread: {speedup:.2}x");
-    results.push(mt);
-    eprintln!("perf_baseline: timing quantized INT8/FP16 serving (3 policies)...");
+    eprintln!("perf_baseline: threaded replica serving...");
+    results.push(serve_replica_bench(quick, 4));
+    eprintln!("perf_baseline: quantized INT8/FP16 serving (3 policies)...");
     results.push(serve_int8_bench(quick));
-    eprintln!("perf_baseline: timing design-space sweep (maco-explore)...");
+    eprintln!("perf_baseline: design-space sweep (maco-explore)...");
     results.push(explore_bench(quick));
     eprintln!("perf_baseline: validating the autotuner sweep (maco-explore)...");
     results.push(autotune_bench(quick));
-    eprintln!("perf_baseline: timing scale-out fleet serving (maco-cluster)...");
+    eprintln!("perf_baseline: scale-out fleet serving (maco-cluster)...");
     results.push(cluster_bench(quick));
-    eprintln!("perf_baseline: timing failover under mid-burst machine kills...");
+    eprintln!("perf_baseline: failover under mid-burst machine kills...");
     results.push(failover_bench(quick));
-    eprintln!("perf_baseline: timing the 100k-request event-core stressor...");
+    eprintln!("perf_baseline: the 100k-request event-core stressor...");
     results.push(throughput_100k_bench(quick));
-    eprintln!("perf_baseline: timing placement head-to-head...");
+    eprintln!("perf_baseline: placement head-to-head...");
     results.push(placement_bench(quick));
 
     let mut mismatches = Vec::new();
@@ -689,35 +623,15 @@ fn main() {
     json.push_str("  \"benches\": [\n");
     for (i, r) in results.iter().enumerate() {
         let mut entry = format!(
-            "    {{\"name\": \"{}\", \"wall_ms\": {:.3}, \"detail\": \"{}\", \"fingerprint\": \"{}\"{}",
-            r.name, r.wall_ms, r.detail, r.fingerprint, r.extra
+            "    {{\"name\": \"{}\", \"detail\": \"{}\", \"fingerprint\": \"{}\"{}",
+            r.name, r.detail, r.fingerprint, r.extra
         );
-        if let Some(prev) = before.as_deref().and_then(|b| before_entry(b, &r.name)) {
-            if let Some(ms) = json_field(prev, "wall_ms").and_then(|v| v.parse::<f64>().ok()) {
-                entry.push_str(&format!(
-                    ", \"before_ms\": {:.3}, \"speedup\": {:.2}",
-                    ms,
-                    ms / r.wall_ms
-                ));
+        if before.is_some() || strict {
+            let found = compare(before.as_deref(), r);
+            if before.is_some() {
+                entry.push_str(&format!(", \"fingerprint_match\": {}", found.is_empty()));
             }
-            if let Some(fpr) = json_field(prev, "fingerprint") {
-                let matches = fpr == r.fingerprint;
-                entry.push_str(&format!(", \"fingerprint_match\": {matches}"));
-                if !matches {
-                    mismatches.push(format!("{}: {} != {}", r.name, r.fingerprint, fpr));
-                }
-            }
-            // A trace fingerprint (benches that re-run with the telemetry
-            // sink on) is pinned exactly like the schedule fingerprints
-            // when both reports carry one.
-            if let (Some(prev_t), Some(cur_t)) = (
-                json_field(prev, "trace_fingerprint").map(str::to_string),
-                json_field(&entry, "trace_fingerprint").map(str::to_string),
-            ) {
-                if prev_t != cur_t {
-                    mismatches.push(format!("{} trace: {cur_t} != {prev_t}", r.name));
-                }
-            }
+            mismatches.extend(found);
         }
         entry.push('}');
         if i + 1 < results.len() {
@@ -732,12 +646,50 @@ fn main() {
     print!("{json}");
     eprintln!("perf_baseline: wrote {out_path}");
     if !mismatches.is_empty() {
-        eprintln!("perf_baseline: simulated outcomes CHANGED vs --before:");
+        eprintln!("perf_baseline: simulated outcomes not matched against --before:");
         for m in &mismatches {
             eprintln!("  {m}");
         }
         if strict {
             std::process::exit(1);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn result(fingerprint: &str, extra: &str) -> BenchResult {
+        BenchResult {
+            name: "s".to_string(),
+            detail: String::new(),
+            fingerprint: fingerprint.to_string(),
+            extra: extra.to_string(),
+        }
+    }
+
+    const BEFORE: &str = r#"{"benches": [
+    {"name": "s", "detail": "", "fingerprint": "aa", "trace_fingerprint": "tt"},
+    {"name": "u", "detail": "", "fingerprint": "bb"}
+]}"#;
+
+    #[test]
+    fn compare_flags_every_way_to_skip_a_check() {
+        let traced = ", \"trace_fingerprint\": \"tt\"";
+        assert!(compare(Some(BEFORE), &result("aa", traced)).is_empty());
+        assert_eq!(compare(Some(BEFORE), &result("ab", traced)).len(), 1);
+        // A trace fingerprint on one side only.
+        assert_eq!(compare(Some(BEFORE), &result("aa", "")).len(), 1);
+        let mut untraced = result("bb", traced);
+        untraced.name = "u".to_string();
+        assert_eq!(compare(Some(BEFORE), &untraced).len(), 1);
+        untraced.extra.clear();
+        assert!(compare(Some(BEFORE), &untraced).is_empty());
+        // No entry, and no report at all.
+        let mut missing = result("aa", traced);
+        missing.name = "v".to_string();
+        assert_eq!(compare(Some(BEFORE), &missing).len(), 1);
+        assert_eq!(compare(None, &result("aa", traced)).len(), 1);
     }
 }

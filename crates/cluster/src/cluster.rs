@@ -216,13 +216,16 @@ impl Cluster {
 
         // A fault-free fleet of one has no routing freedom: every job
         // lands on machine 0, nothing migrates, nothing splits, nothing
-        // is ever evicted. Routing eagerly is therefore
-        // decision-identical to lazy routing — and it lets the engine run
-        // with no external horizon, which makes the one-machine cluster
-        // reproduce the standalone `Server` schedule bit for bit (the
-        // contract the equivalence tests pin) even at the contention
-        // corners where a bounded arrival drain would reorder scheduling
-        // attempts.
+        // is ever evicted. Routing eagerly lets its engine run with no
+        // external horizon, as a standalone `Server` does, and that is
+        // what keeps the two bit-identical. A horizon does reorder
+        // decisions: when a completion's step leaps past the next fleet
+        // arrival, `Server` admits and places that arrival in the
+        // completion's drain, while a bounded drain stops short of it, so
+        // an earlier completion on another node is processed first and
+        // the arrival lands on the node it freed. The last case of
+        // `one_machine_cluster_matches_server_under_tie_storms`
+        // (tests/properties.rs) pins that corner under every policy.
         let mut cursor = 0usize;
         let mut pending = VecDeque::from(specs);
         if machines == 1 && self.spec.faults.is_empty() && self.spec.autoscaler.is_none() {

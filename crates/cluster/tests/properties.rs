@@ -256,11 +256,20 @@ fn one_machine_cluster_matches_standalone_server() {
 /// where a bounded arrival drain could reorder scheduling attempts, so
 /// the tie-storm mixes are replayed through both paths under every
 /// policy.
+///
+/// The last case is the corner that needs the one-machine cluster to
+/// route eagerly. The 64³ job's only step leaps from 23.592 past the
+/// 96³ job's arrival at 29.629 µs, to 30.113 µs. `Server` admits the 96³
+/// job in that completion's drain and starts it on node 2, before the
+/// 1³ job's completion at 28.267 µs is processed. Under a router horizon
+/// the drain stops at the unrouted arrival, the 1³ job's completion
+/// frees node 0 first, and the 96³ job runs there instead.
 #[test]
 fn one_machine_cluster_matches_server_under_tie_storms() {
+    let mut cases: Vec<(usize, usize, Vec<JobSpec>)> = Vec::new();
     for (seed, nodes) in [(1u64, 2usize), (2, 3), (3, 4)] {
         let mut arrival = SimTime::ZERO;
-        let specs: Vec<JobSpec> = (0..10)
+        let specs = (0..10)
             .map(|i| {
                 arrival += SimDuration::from_ns((seed + i) % 2);
                 let d = if i % 3 == 0 { 1 } else { 32 * (1 + i % 3) };
@@ -274,26 +283,51 @@ fn one_machine_cluster_matches_server_under_tie_storms() {
                 }
             })
             .collect();
+        cases.push((nodes, ServeConfig::default().queue_capacity, specs));
+    }
+    let cube = |n| GemmPlusTask::gemm(n, n, n, Precision::Fp32);
+    let corner = [
+        (3, vec![cube(1), cube(1)], 23_591),
+        (0, vec![cube(64)], 23_592),
+        (0, vec![cube(96), cube(96)], 29_629),
+    ];
+    let corner = corner
+        .into_iter()
+        .map(|(tenant, layers, arrival_ns)| JobSpec {
+            tenant,
+            layers,
+            arrival: SimTime::ZERO + SimDuration::from_ns(arrival_ns),
+            priority: 2,
+            deadline: None,
+            gang_width: 1,
+        })
+        .collect();
+    cases.push((4, 3, corner));
+    for (case, (nodes, queue_capacity, specs)) in cases.into_iter().enumerate() {
         for policy in Policy::ALL {
+            let serve = ServeConfig {
+                queue_capacity,
+                ..ServeConfig::with_policy(policy)
+            };
             let mut server = Server::new(
                 MacoSystem::new(SystemConfig {
                     nodes,
                     ..SystemConfig::default()
                 }),
                 Tenant::fleet(4),
-                ServeConfig::with_policy(policy),
+                serve.clone(),
             );
             let solo = server.run_jobs(specs.clone()).expect("server completes");
             let mut spec = ClusterSpec::uniform(1, nodes);
-            spec.machines[0].serve = ServeConfig::with_policy(policy);
+            spec.machines[0].serve = serve;
             let mut fleet = Cluster::new(spec, Tenant::fleet(4));
             let fleet_report = fleet.run_jobs(specs.clone()).expect("fleet completes");
             let machine = &fleet_report.machines[0].serve;
             assert_eq!(
                 machine.fingerprint, solo.fingerprint,
-                "{policy:?} seed {seed}"
+                "{policy:?} case {case}"
             );
-            assert_eq!(machine.makespan, solo.makespan, "{policy:?} seed {seed}");
+            assert_eq!(machine.makespan, solo.makespan, "{policy:?} case {case}");
             assert_eq!(fleet_report.diagnostics.outstanding_clamps, 0);
         }
     }

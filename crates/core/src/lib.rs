@@ -2,7 +2,7 @@
 //!
 //! The paper's primary contribution, assembled from the substrate crates:
 //! up to 16 compute nodes (CPU core + MMAE) on a 4×4 mesh with a
-//! distributed, lockable L3 behind CCM slices (Section III.A), programmed
+//! distributed L3 behind CCM slices (Section III.A), programmed
 //! through MPAIS, with predictive address translation (Section IV.A) and
 //! the GEMM⁺ stash-lock-overlap mapping scheme (Section IV.B).
 //!

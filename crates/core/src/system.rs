@@ -208,7 +208,7 @@ const C_BASE: u64 = 0x3_0000_0000;
 const Y_BASE: u64 = 0x4_0000_0000;
 /// Physical frame pool for system-managed mappings.
 const FRAME_BASE: u64 = 0x10_0000_0000;
-/// Cache-line size (matches `maco_mem::LINE_BYTES`).
+/// Cache-line size in bytes.
 pub(crate) const LINE_BYTES: u64 = 64;
 
 struct NodeState {
@@ -244,9 +244,11 @@ impl MacoSystem {
     ///
     /// # Panics
     ///
-    /// Panics if `nodes` is zero or exceeds the mesh capacity.
+    /// Panics if `nodes` is zero or exceeds the mesh capacity, or if the
+    /// L3 has no slice (tile steps spread their traffic over the slices).
     pub fn new(config: SystemConfig) -> Self {
         assert!(config.nodes >= 1, "need at least one compute node");
+        assert!(config.l3.slices >= 1, "the L3 needs at least one slice");
         assert!(
             config.nodes <= config.fabric.shape.node_count(),
             "more nodes than mesh positions"
@@ -325,7 +327,7 @@ impl MacoSystem {
     /// [`Stats::merge`]. Reading the snapshot never perturbs simulation
     /// state.
     ///
-    /// `dtlb.*` and `stlb.*` count lookups (hits plus misses) and misses.
+    /// `stlb.*` counts lookups (hits plus misses) and misses.
     /// Predictive translation is closed-form and never consults the sTLB,
     /// so `stlb.*` counts demand-mode traffic only.
     ///
@@ -337,20 +339,14 @@ impl MacoSystem {
     /// never folded into a fingerprint.
     pub fn stats_snapshot(&self) -> Stats {
         let mut s = Stats::new();
-        let mut dtlb = (0u64, 0u64);
         let mut stlb = (0u64, 0u64);
         let mut instructions = 0u64;
         for node in &self.nodes {
-            let mmu = node.cpu.mmu();
-            let (dh, dm) = mmu.dtlb_stats();
-            let (sh, sm) = mmu.stlb_stats();
-            dtlb = (dtlb.0 + dh + dm, dtlb.1 + dm);
+            let (sh, sm) = node.cpu.mmu().stlb_stats();
             stlb = (stlb.0 + sh + sm, stlb.1 + sm);
             instructions += node.cpu.instructions_issued();
         }
         s.add("cpu.instructions", instructions);
-        s.add("dtlb.lookups", dtlb.0);
-        s.add("dtlb.misses", dtlb.1);
         s.add("stlb.lookups", stlb.0);
         s.add("stlb.misses", stlb.1);
         s.add("dram.accesses", self.dram.accesses());
@@ -1325,6 +1321,17 @@ mod tests {
         let eff = r.nodes[0].efficiency();
         assert!((0.5..=1.0).contains(&eff), "efficiency {eff}");
         assert!(r.makespan > SimDuration::ZERO);
+    }
+
+    /// Tile steps pick a CCM slice modulo the slice count, so an L3
+    /// without slices is refused when the system is built, not on the
+    /// first step.
+    #[test]
+    #[should_panic(expected = "at least one slice")]
+    fn an_l3_without_slices_is_rejected() {
+        let mut config = small_config(1);
+        config.l3.slices = 0;
+        MacoSystem::new(config);
     }
 
     #[test]

@@ -8,11 +8,10 @@
 
 use maco_isa::encoding::Mnemonic;
 use maco_isa::mtq::{Maid, MasterTaskQueue, MtqError, QueryOutcome};
-use maco_isa::{Asid, ExceptionType, Precision};
+use maco_isa::{Asid, ExceptionType};
 use maco_sim::SimDuration;
 
 use crate::config::CpuConfig;
-use crate::kernels::{CpuGemmModel, Kernel};
 use crate::mmu::Mmu;
 
 /// Cycles to execute one MPAIS instruction on the core (decode, register
@@ -25,9 +24,7 @@ pub struct CpuCore {
     config: CpuConfig,
     mmu: Mmu,
     mtq: MasterTaskQueue,
-    gemm_model: CpuGemmModel,
     instructions_issued: u64,
-    busy: SimDuration,
 }
 
 impl CpuCore {
@@ -36,10 +33,8 @@ impl CpuCore {
         CpuCore {
             mmu: Mmu::new(&config),
             mtq: MasterTaskQueue::new(config.mtq_entries),
-            gemm_model: CpuGemmModel::default(),
             config,
             instructions_issued: 0,
-            busy: SimDuration::ZERO,
         }
     }
 
@@ -126,72 +121,17 @@ impl CpuCore {
         }
     }
 
-    /// Runs a non-GEMM kernel over `elems` elements; returns its duration
-    /// and accounts the core busy.
-    pub fn run_kernel(&mut self, kernel: &Kernel, elems: u64) -> SimDuration {
-        let t = kernel.time_on(&self.config, elems, Precision::Fp32);
-        self.busy += t;
-        t
-    }
-
-    /// Runs a non-GEMM kernel at an explicit precision.
-    pub fn run_kernel_at(
-        &mut self,
-        kernel: &Kernel,
-        elems: u64,
-        precision: Precision,
-    ) -> SimDuration {
-        let t = kernel.time_on(&self.config, elems, precision);
-        self.busy += t;
-        t
-    }
-
-    /// Runs a GEMM on the core's own FMAC pipes (the Baseline-1 path).
-    pub fn run_cpu_gemm(&mut self, m: u64, n: u64, k: u64, precision: Precision) -> SimDuration {
-        let t = self.gemm_model.time(&self.config, m, n, k, precision);
-        self.busy += t;
-        t
-    }
-
     /// Total MPAIS instructions issued.
     pub fn instructions_issued(&self) -> u64 {
         self.instructions_issued
-    }
-
-    /// Cumulative busy time of the core's execution units.
-    pub fn busy_time(&self) -> SimDuration {
-        self.busy
-    }
-
-    /// Utilisation of the core over `elapsed` — Fig. 5(c)'s CPU lane.
-    pub fn utilization(&self, elapsed: SimDuration) -> f64 {
-        if elapsed.is_zero() {
-            0.0
-        } else {
-            (self.busy.as_fs() as f64 / elapsed.as_fs() as f64).min(1.0)
-        }
-    }
-}
-
-/// A simulated process: an ASID bound to task bookkeeping. The full address
-/// space lives in `maco-core`'s node model; this type carries the identity
-/// used by MTQ entries across context switches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Process {
-    /// Address-space identifier.
-    pub asid: Asid,
-}
-
-impl Process {
-    /// Creates a process handle.
-    pub fn new(asid: Asid) -> Self {
-        Process { asid }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::CpuGemmModel;
+    use maco_isa::Precision;
 
     #[test]
     fn ma_cfg_lifecycle_through_core() {
@@ -237,28 +177,12 @@ mod tests {
     }
 
     #[test]
-    fn kernel_and_gemm_accumulate_busy_time() {
-        let mut cpu = CpuCore::new(CpuConfig::default());
-        let t1 = cpu.run_kernel(&Kernel::softmax(), 1 << 20);
-        let t2 = cpu.run_cpu_gemm(512, 512, 512, Precision::Fp32);
-        assert_eq!(cpu.busy_time(), t1 + t2);
-        let util = cpu.utilization((t1 + t2) * 2);
-        assert!((util - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
     fn cpu_gemm_is_much_slower_than_mmae_peak() {
-        let mut cpu = CpuCore::new(CpuConfig::default());
-        let t = cpu.run_cpu_gemm(1024, 1024, 1024, Precision::Fp32);
+        let t =
+            CpuGemmModel::default().time(&CpuConfig::default(), 1024, 1024, 1024, Precision::Fp32);
         let gflops = 2.0 * 1024f64.powi(3) / t.as_ns();
         // MMAE peak is 160 GFLOPS FP32; the core sustains a small fraction.
         assert!(gflops < 40.0, "CPU GEMM at {gflops} GFLOPS");
         assert!(gflops > 10.0);
-    }
-
-    #[test]
-    fn process_identity() {
-        let p = Process::new(Asid::new(9));
-        assert_eq!(p.asid.raw(), 9);
     }
 }

@@ -7,23 +7,25 @@
 //!
 //! * [`config`] — the Table I microarchitectural parameters, printable as
 //!   the paper's table (`table1` harness).
-//! * [`mmu`] — the two-level TLB hierarchy (48-entry L1 I/D TLBs, 1024-entry
-//!   shared L2 TLB) plus the walker; the L2 TLB is the "sTLB" the MMAE
-//!   shares via customised interfaces.
+//! * [`mmu`] — the shared 1024-entry L2 TLB ("sTLB") and the walker, the
+//!   pair the MMAE borrows through customised interfaces (Fig. 2). Table I's
+//!   48-entry L1 I/D TLBs are listed by [`config`] but not modelled: they
+//!   serve only the core's own loads and stores.
 //! * [`kernels`] — roofline models of the non-GEMM workloads the GEMM⁺
 //!   mapping overlaps (normalisation, activation, softmax), and the blocked
 //!   CPU GEMM used by Fig. 8's Baseline-1.
-//! * [`core`] — the core facade: MPAIS issue timing, the master task queue,
-//!   and kernel execution.
+//! * [`core`] — the core facade: MPAIS issue timing and the master task
+//!   queue. Kernel and CPU-GEMM durations come from [`Kernel::time_on`] and
+//!   [`CpuGemmModel`] directly.
 //!
 //! # Example
 //!
 //! ```
-//! use maco_cpu::core::CpuCore;
 //! use maco_cpu::kernels::Kernel;
+//! use maco_cpu::CpuConfig;
+//! use maco_isa::Precision;
 //!
-//! let mut cpu = CpuCore::new(Default::default());
-//! let t = cpu.run_kernel(&Kernel::softmax(), 1 << 20);
+//! let t = Kernel::softmax().time_on(&CpuConfig::default(), 1 << 20, Precision::Fp32);
 //! assert!(t.as_us() > 0.0);
 //! ```
 

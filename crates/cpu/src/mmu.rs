@@ -1,141 +1,32 @@
-//! The CPU memory-management unit.
+//! The CPU memory-management unit, as the MMAE sees it.
 //!
-//! Two TLB levels per Table I: 48-entry fully-associative L1 ITLB and DTLB,
-//! backed by a 1024-entry fully-associative L2 TLB. The L2 TLB is the
-//! "shared TLB (sTLB)" of Fig. 2 that the MMAE accesses through customised
-//! interfaces — [`Mmu::shared_tlb_mut`] is that interface, and the mATLB
-//! sends its predicted addresses here "to perform page table walk"
-//! (Section IV.A).
+//! Table I gives the core 48-entry L1 ITLB/DTLB backed by a 1024-entry
+//! fully-associative L2 TLB. The L2 TLB is the "shared TLB (sTLB)" of
+//! Fig. 2 that the MMAE accesses through customised interfaces, and the
+//! mATLB sends its predicted addresses here "to perform page table walk"
+//! (Section IV.A). The MMAE reaches the MMU only through that pair, so the
+//! model holds just the sTLB and the walker; the L1 TLBs serve the core's
+//! own loads and stores, which no experiment times.
 
-use maco_isa::Asid;
-use maco_sim::{SimDuration, SimTime};
-use maco_vm::page_table::{AddressSpace, TranslateFault};
-use maco_vm::tlb::{Tlb, TlbEntry};
+use maco_vm::tlb::Tlb;
 use maco_vm::walker::PageTableWalker;
-use maco_vm::{PhysAddr, VirtAddr};
 
 use crate::config::CpuConfig;
 
-/// Which L1 TLB services an access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AccessClass {
-    /// Instruction fetch (ITLB).
-    Fetch,
-    /// Data load/store (DTLB).
-    Data,
-}
-
-/// Result of a translated access: the physical address and where the
-/// translation was found.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MmuAccess {
-    /// Translated physical address.
-    pub pa: PhysAddr,
-    /// Translation latency (L1 hit ≈ 0, L2 hit, or full walk).
-    pub latency: SimDuration,
-    /// Hierarchy level that produced the translation.
-    pub source: TranslationSource,
-}
-
-/// Where a translation was satisfied.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TranslationSource {
-    /// L1 ITLB/DTLB hit.
-    L1,
-    /// Shared L2 TLB hit.
-    L2,
-    /// Page-table walk.
-    Walk,
-}
-
-/// The MMU: L1 I/D TLBs, shared L2 TLB, and walker.
+/// The MMU: the shared L2 TLB and the page-table walker.
 #[derive(Debug, Clone)]
 pub struct Mmu {
-    itlb: Tlb,
-    dtlb: Tlb,
     stlb: Tlb,
     walker: PageTableWalker,
-    l2_hit_latency: SimDuration,
-    walk_read_latency: SimDuration,
 }
 
 impl Mmu {
     /// Builds the MMU from a core configuration.
     pub fn new(config: &CpuConfig) -> Self {
         Mmu {
-            itlb: Tlb::new(config.l1_tlb_entries),
-            dtlb: Tlb::new(config.l1_tlb_entries),
             stlb: Tlb::new(config.l2_tlb_entries),
             walker: PageTableWalker::new(2),
-            // L2 TLB lookup ≈ 4 core cycles; walk reads mostly hit the L2
-            // cache holding hot table nodes.
-            l2_hit_latency: config.clock.cycles(4),
-            walk_read_latency: SimDuration::from_ns(6),
         }
-    }
-
-    /// Translates an access, consulting L1 → L2 → walker and filling the
-    /// upper levels on the way back.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`TranslateFault`] from the walk (an architectural data
-    /// abort / MMAE translation exception).
-    pub fn translate(
-        &mut self,
-        class: AccessClass,
-        asid: Asid,
-        space: &AddressSpace,
-        va: VirtAddr,
-        _now: SimTime,
-    ) -> Result<MmuAccess, TranslateFault> {
-        let vpn = va.page_number();
-        let l1 = match class {
-            AccessClass::Fetch => &mut self.itlb,
-            AccessClass::Data => &mut self.dtlb,
-        };
-        if let Some(e) = l1.lookup(asid, vpn) {
-            return Ok(MmuAccess {
-                pa: e.phys_addr(va.page_offset()),
-                latency: SimDuration::ZERO,
-                source: TranslationSource::L1,
-            });
-        }
-        if let Some(e) = self.stlb.lookup(asid, vpn) {
-            l1.insert(asid, vpn, e);
-            return Ok(MmuAccess {
-                pa: e.phys_addr(va.page_offset()),
-                latency: self.l2_hit_latency,
-                source: TranslationSource::L2,
-            });
-        }
-        let res = self.walker.walk(space, va)?;
-        let entry = TlbEntry {
-            frame: res.pa.frame_number(),
-            flags: res.flags,
-        };
-        self.stlb.insert(asid, vpn, entry);
-        let l1 = match class {
-            AccessClass::Fetch => &mut self.itlb,
-            AccessClass::Data => &mut self.dtlb,
-        };
-        l1.insert(asid, vpn, entry);
-        Ok(MmuAccess {
-            pa: res.pa,
-            latency: self.l2_hit_latency + self.walk_read_latency * 4,
-            source: TranslationSource::Walk,
-        })
-    }
-
-    /// The shared L2 TLB — the customised interface the MMAE's translation
-    /// context borrows (Fig. 2).
-    pub fn shared_tlb_mut(&mut self) -> &mut Tlb {
-        &mut self.stlb
-    }
-
-    /// The walker, shared with the mATLB's pre-walk requests.
-    pub fn walker_mut(&mut self) -> &mut PageTableWalker {
-        &mut self.walker
     }
 
     /// Splits the MMU into the shared TLB and walker — the exact pair the
@@ -144,150 +35,8 @@ impl Mmu {
         (&mut self.stlb, &mut self.walker)
     }
 
-    /// The walk-read latency the MMU assumes for table-node reads.
-    pub fn walk_read_latency(&self) -> SimDuration {
-        self.walk_read_latency
-    }
-
-    /// Invalidates all TLB entries of `asid` (process teardown).
-    pub fn invalidate_asid(&mut self, asid: Asid) {
-        self.itlb.invalidate_asid(asid);
-        self.dtlb.invalidate_asid(asid);
-        self.stlb.invalidate_asid(asid);
-    }
-
-    /// L1 DTLB statistics `(hits, misses)`.
-    pub fn dtlb_stats(&self) -> (u64, u64) {
-        (self.dtlb.hits(), self.dtlb.misses())
-    }
-
     /// Shared TLB statistics `(hits, misses)`.
     pub fn stlb_stats(&self) -> (u64, u64) {
         (self.stlb.hits(), self.stlb.misses())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use maco_vm::addr::PAGE_SIZE;
-    use maco_vm::page_table::PageFlags;
-
-    fn space() -> AddressSpace {
-        let mut s = AddressSpace::new();
-        s.map_range(
-            VirtAddr::new(0x10_0000),
-            PhysAddr::new(0x80_0000),
-            16 * PAGE_SIZE,
-            PageFlags::rw(),
-        )
-        .unwrap();
-        s
-    }
-
-    #[test]
-    fn miss_walk_then_l1_hit() {
-        let sp = space();
-        let mut mmu = Mmu::new(&CpuConfig::default());
-        let asid = Asid::new(1);
-        let va = VirtAddr::new(0x10_0040);
-
-        let first = mmu
-            .translate(AccessClass::Data, asid, &sp, va, SimTime::ZERO)
-            .unwrap();
-        assert_eq!(first.source, TranslationSource::Walk);
-        assert_eq!(first.pa.raw(), 0x80_0040);
-
-        let second = mmu
-            .translate(AccessClass::Data, asid, &sp, va, SimTime::ZERO)
-            .unwrap();
-        assert_eq!(second.source, TranslationSource::L1);
-        assert!(second.latency.is_zero());
-    }
-
-    #[test]
-    fn itlb_and_dtlb_are_separate() {
-        let sp = space();
-        let mut mmu = Mmu::new(&CpuConfig::default());
-        let asid = Asid::new(1);
-        let va = VirtAddr::new(0x10_0000);
-        mmu.translate(AccessClass::Data, asid, &sp, va, SimTime::ZERO)
-            .unwrap();
-        // Fetch path missed L1 (separate array) but hits the shared L2.
-        let f = mmu
-            .translate(AccessClass::Fetch, asid, &sp, va, SimTime::ZERO)
-            .unwrap();
-        assert_eq!(f.source, TranslationSource::L2);
-    }
-
-    #[test]
-    fn l2_is_shared_across_classes_and_with_mmae() {
-        let sp = space();
-        let mut mmu = Mmu::new(&CpuConfig::default());
-        let asid = Asid::new(1);
-        mmu.translate(
-            AccessClass::Data,
-            asid,
-            &sp,
-            VirtAddr::new(0x10_1000),
-            SimTime::ZERO,
-        )
-        .unwrap();
-        // The MMAE-side interface sees the entry.
-        assert!(mmu.shared_tlb_mut().probe(asid, 0x101).is_some());
-        let (stlb, walker) = mmu.shared_parts_mut();
-        assert!(stlb.probe(asid, 0x101).is_some());
-        let _ = walker;
-    }
-
-    #[test]
-    fn faults_propagate() {
-        let sp = AddressSpace::new();
-        let mut mmu = Mmu::new(&CpuConfig::default());
-        assert!(mmu
-            .translate(
-                AccessClass::Data,
-                Asid::new(1),
-                &sp,
-                VirtAddr::new(0x9000),
-                SimTime::ZERO
-            )
-            .is_err());
-    }
-
-    #[test]
-    fn asid_invalidation_is_complete() {
-        let sp = space();
-        let mut mmu = Mmu::new(&CpuConfig::default());
-        let asid = Asid::new(5);
-        let va = VirtAddr::new(0x10_2000);
-        mmu.translate(AccessClass::Data, asid, &sp, va, SimTime::ZERO)
-            .unwrap();
-        mmu.invalidate_asid(asid);
-        let again = mmu
-            .translate(AccessClass::Data, asid, &sp, va, SimTime::ZERO)
-            .unwrap();
-        assert_eq!(again.source, TranslationSource::Walk, "nothing cached");
-    }
-
-    #[test]
-    fn stats_track_hierarchy() {
-        let sp = space();
-        let mut mmu = Mmu::new(&CpuConfig::default());
-        let asid = Asid::new(1);
-        for i in 0..4u64 {
-            mmu.translate(
-                AccessClass::Data,
-                asid,
-                &sp,
-                VirtAddr::new(0x10_0000 + i * PAGE_SIZE),
-                SimTime::ZERO,
-            )
-            .unwrap();
-        }
-        let (_, d_miss) = mmu.dtlb_stats();
-        assert_eq!(d_miss, 4);
-        let (_, s_miss) = mmu.stlb_stats();
-        assert_eq!(s_miss, 4);
     }
 }

@@ -1,43 +1,28 @@
 //! The distributed L3 "system cache".
 //!
 //! "The L3 cache (also named system cache) is distributed among all CCMs
-//! and shared by all compute nodes" (Section III.A). Physical addresses are
-//! interleaved across slices at line granularity so every node's traffic
-//! spreads over the whole mesh. The GEMM⁺ mapping scheme (Section IV.B)
-//! adds **stash** — prefetch a region into L3 ahead of use — and **lock** —
-//! pin those lines so the streaming traffic of other tiles cannot evict
-//! them. Locking is quota-limited per slice so one process cannot wedge the
-//! shared cache.
+//! and shared by all compute nodes" (Section III.A). The GEMM⁺ mapping
+//! scheme (Section IV.B) adds **stash** — prefetch a region into L3 ahead
+//! of use — and **lock** — pin those lines against the streaming traffic
+//! of other tiles. The timing model prices both as CCM occupancy, so of
+//! the L3 it needs only the geometry below: one slice per CCM, and the
+//! total capacity.
 
-use std::fmt;
-
-use maco_vm::PhysAddr;
-
-use crate::cache::{AccessOutcome, SetAssocCache};
-use crate::{LINE_BYTES, LINE_SHIFT};
-
-/// Configuration of the distributed L3.
+/// Geometry of the distributed L3.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct L3Config {
     /// Number of slices (one per CCM; the 4×4 MACO has 16).
     pub slices: usize,
     /// Capacity per slice in bytes.
     pub slice_bytes: u64,
-    /// Associativity of each slice.
-    pub ways: usize,
-    /// Maximum fraction of each slice lockable, in percent (0–100).
-    pub lock_quota_pct: u8,
 }
 
 impl Default for L3Config {
-    /// 16 slices × 2 MB, 16-way — a 32 MB system cache, and at most 75 % of
-    /// each slice lockable.
+    /// 16 slices × 2 MB — a 32 MB system cache.
     fn default() -> Self {
         L3Config {
             slices: 16,
             slice_bytes: 2 * 1024 * 1024,
-            ways: 16,
-            lock_quota_pct: 75,
         }
     }
 }
@@ -49,323 +34,9 @@ impl L3Config {
     }
 }
 
-/// Errors raised by stash/lock operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StashError {
-    /// The lock quota of a slice would be exceeded.
-    QuotaExceeded {
-        /// The slice that ran out of lockable capacity.
-        slice: usize,
-    },
-    /// A zero-byte stash request.
-    EmptyRegion,
-}
-
-impl fmt::Display for StashError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            StashError::QuotaExceeded { slice } => {
-                write!(f, "lock quota exceeded on L3 slice {slice}")
-            }
-            StashError::EmptyRegion => write!(f, "stash of zero bytes"),
-        }
-    }
-}
-
-impl std::error::Error for StashError {}
-
-/// The distributed, lockable L3 cache.
-///
-/// This is the *functional* model: residency, locks and per-slice
-/// accounting. Timing (CCM occupancy, NoC transit, DRAM refill) is priced
-/// by the system model in `maco-core` from the outcomes reported here.
-///
-/// # Example
-///
-/// ```
-/// use maco_mem::l3::{DistributedL3, L3Config};
-/// use maco_vm::PhysAddr;
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut l3 = DistributedL3::new(L3Config::default());
-/// let missed = l3.stash(PhysAddr::new(0x4000), 128, false)?;
-/// assert_eq!(missed, 2, "two 64 B lines fetched");
-/// assert!(l3.lookup(PhysAddr::new(0x4040)));
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct DistributedL3 {
-    config: L3Config,
-    slices: Vec<SetAssocCache>,
-    lock_limit_lines: u64,
-    stashes: u64,
-    stash_fetches: u64,
-}
-
-impl DistributedL3 {
-    /// Creates the L3 from a configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slices` is zero.
-    pub fn new(config: L3Config) -> Self {
-        assert!(config.slices > 0, "L3 needs at least one slice");
-        let slices = (0..config.slices)
-            .map(|_| SetAssocCache::new(config.slice_bytes, config.ways))
-            .collect::<Vec<_>>();
-        let lines_per_slice = config.slice_bytes / LINE_BYTES;
-        DistributedL3 {
-            lock_limit_lines: lines_per_slice * config.lock_quota_pct as u64 / 100,
-            config,
-            slices,
-            stashes: 0,
-            stash_fetches: 0,
-        }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &L3Config {
-        &self.config
-    }
-
-    /// Which slice homes the line containing `pa` (line-granularity
-    /// interleave).
-    pub fn slice_of(&self, pa: PhysAddr) -> usize {
-        (pa.line_number() % self.config.slices as u64) as usize
-    }
-
-    /// Slice-local address of a global line: the slice-select bits are
-    /// removed so the slice's set index sees a dense address space, as in
-    /// real interleaved LLC designs.
-    fn local_addr(&self, line: u64) -> u64 {
-        (line / self.config.slices as u64) << LINE_SHIFT
-    }
-
-    /// Read access for the line containing `pa`; returns `true` on hit.
-    pub fn access(&mut self, pa: PhysAddr) -> bool {
-        let slice = self.slice_of(pa);
-        let local = self.local_addr(pa.line_number());
-        matches!(self.slices[slice].read(local), AccessOutcome::Hit)
-    }
-
-    /// Write access for the line containing `pa`; returns `true` on hit.
-    pub fn access_write(&mut self, pa: PhysAddr) -> bool {
-        let slice = self.slice_of(pa);
-        let local = self.local_addr(pa.line_number());
-        matches!(self.slices[slice].write(local), AccessOutcome::Hit)
-    }
-
-    /// Residency probe without LRU side effects.
-    pub fn lookup(&self, pa: PhysAddr) -> bool {
-        self.slices[self.slice_of(pa)].probe(self.local_addr(pa.line_number()))
-    }
-
-    /// Stash: prefetches `[pa, pa+bytes)` into the L3, optionally locking
-    /// each line. Returns how many lines had to be fetched from DRAM (the
-    /// timing model turns this into DRAM + NoC traffic).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StashError::QuotaExceeded`] if locking would exceed the
-    /// per-slice quota, or [`StashError::EmptyRegion`] for `bytes == 0`.
-    pub fn stash(&mut self, pa: PhysAddr, bytes: u64, lock: bool) -> Result<u64, StashError> {
-        if bytes == 0 {
-            return Err(StashError::EmptyRegion);
-        }
-        self.stashes += 1;
-        let first = pa.line_number();
-        let last = PhysAddr::new(pa.raw() + bytes - 1).line_number();
-
-        // Pre-check the lock quota so a failing stash has no side effects.
-        if lock {
-            let new_lines = last - first + 1;
-            let mut per_slice = vec![0u64; self.config.slices];
-            for line in first..=last {
-                per_slice[(line % self.config.slices as u64) as usize] += 1;
-            }
-            for (slice, extra) in per_slice.iter().enumerate() {
-                if self.slices[slice].locked_lines() + extra > self.lock_limit_lines {
-                    return Err(StashError::QuotaExceeded { slice });
-                }
-            }
-            let _ = new_lines;
-        }
-
-        let mut fetched = 0;
-        for line in first..=last {
-            let addr = self.local_addr(line);
-            let slice = (line % self.config.slices as u64) as usize;
-            if lock {
-                match self.slices[slice].lock(addr) {
-                    Ok(true) => fetched += 1,
-                    Ok(false) => {}
-                    // Quota pre-check makes this unreachable unless ways are
-                    // exhausted by pathological aliasing; treat as quota.
-                    Err(_) => return Err(StashError::QuotaExceeded { slice }),
-                }
-            } else if !matches!(self.slices[slice].read(addr), AccessOutcome::Hit) {
-                fetched += 1;
-            }
-        }
-        self.stash_fetches += fetched;
-        Ok(fetched)
-    }
-
-    /// Unlocks every line of `[pa, pa+bytes)`.
-    pub fn unlock(&mut self, pa: PhysAddr, bytes: u64) {
-        if bytes == 0 {
-            return;
-        }
-        let first = pa.line_number();
-        let last = PhysAddr::new(pa.raw() + bytes - 1).line_number();
-        for line in first..=last {
-            let slice = (line % self.config.slices as u64) as usize;
-            let addr = self.local_addr(line);
-            self.slices[slice].unlock(addr);
-        }
-    }
-
-    /// Unlocks everything (end of a GEMM⁺ phase).
-    pub fn unlock_all(&mut self) {
-        for s in &mut self.slices {
-            s.unlock_all();
-        }
-    }
-
-    /// Locked lines across all slices.
-    pub fn locked_lines(&self) -> u64 {
-        self.slices.iter().map(|s| s.locked_lines()).sum()
-    }
-
-    /// Aggregate hit count.
-    pub fn hits(&self) -> u64 {
-        self.slices.iter().map(|s| s.hits()).sum()
-    }
-
-    /// Aggregate miss count.
-    pub fn misses(&self) -> u64 {
-        self.slices.iter().map(|s| s.misses()).sum()
-    }
-
-    /// Stash operations serviced.
-    pub fn stashes(&self) -> u64 {
-        self.stashes
-    }
-
-    /// Lines fetched from DRAM on behalf of stashes.
-    pub fn stash_fetches(&self) -> u64 {
-        self.stash_fetches
-    }
-
-    /// Per-slice lock quota in lines.
-    pub fn lock_limit_lines(&self) -> u64 {
-        self.lock_limit_lines
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn small() -> DistributedL3 {
-        DistributedL3::new(L3Config {
-            slices: 4,
-            slice_bytes: 16 * 1024,
-            ways: 4,
-            lock_quota_pct: 50,
-        })
-    }
-
-    #[test]
-    fn slice_interleaving_at_line_granularity() {
-        let l3 = small();
-        assert_eq!(l3.slice_of(PhysAddr::new(0)), 0);
-        assert_eq!(l3.slice_of(PhysAddr::new(64)), 1);
-        assert_eq!(l3.slice_of(PhysAddr::new(128)), 2);
-        assert_eq!(l3.slice_of(PhysAddr::new(256)), 0);
-    }
-
-    #[test]
-    fn stash_then_hit() {
-        let mut l3 = small();
-        let fetched = l3.stash(PhysAddr::new(0x1000), 512, false).unwrap();
-        assert_eq!(fetched, 8);
-        for i in 0..8u64 {
-            assert!(l3.lookup(PhysAddr::new(0x1000 + i * 64)));
-        }
-        // Restash costs nothing.
-        assert_eq!(l3.stash(PhysAddr::new(0x1000), 512, false).unwrap(), 0);
-        assert_eq!(l3.stashes(), 2);
-        assert_eq!(l3.stash_fetches(), 8);
-    }
-
-    #[test]
-    fn locked_stash_survives_streaming() {
-        let mut l3 = small();
-        l3.stash(PhysAddr::new(0), 1024, true).unwrap();
-        // Stream 10× the slice capacity over every slice.
-        for i in 0..10_000u64 {
-            l3.access(PhysAddr::new(0x10_0000 + i * 64));
-        }
-        for i in 0..16u64 {
-            assert!(l3.lookup(PhysAddr::new(i * 64)), "locked line {i} evicted");
-        }
-    }
-
-    #[test]
-    fn unlocked_stash_can_be_evicted() {
-        let mut l3 = small();
-        l3.stash(PhysAddr::new(0), 1024, false).unwrap();
-        for i in 0..100_000u64 {
-            l3.access(PhysAddr::new(0x10_0000 + i * 64));
-        }
-        let survivors = (0..16u64)
-            .filter(|i| l3.lookup(PhysAddr::new(i * 64)))
-            .count();
-        assert!(survivors < 16, "plain stash offers no protection");
-    }
-
-    #[test]
-    fn lock_quota_enforced_atomically() {
-        let mut l3 = small();
-        // Quota: 50% of 16 KB/slice = 128 lines/slice, 4 slices → 512 lines.
-        let quota_bytes = 4 * 128 * 64;
-        l3.stash(PhysAddr::new(0), quota_bytes, true).unwrap();
-        let before = l3.locked_lines();
-        let err = l3.stash(PhysAddr::new(0x40_0000), 4096, true);
-        assert!(matches!(err, Err(StashError::QuotaExceeded { .. })));
-        assert_eq!(l3.locked_lines(), before, "failed stash has no effect");
-    }
-
-    #[test]
-    fn unlock_releases_quota() {
-        let mut l3 = small();
-        l3.stash(PhysAddr::new(0), 4096, true).unwrap();
-        assert_eq!(l3.locked_lines(), 64);
-        l3.unlock(PhysAddr::new(0), 4096);
-        assert_eq!(l3.locked_lines(), 0);
-        l3.unlock_all(); // idempotent
-        assert_eq!(l3.locked_lines(), 0);
-    }
-
-    #[test]
-    fn empty_stash_rejected() {
-        let mut l3 = small();
-        assert_eq!(
-            l3.stash(PhysAddr::new(0), 0, false),
-            Err(StashError::EmptyRegion)
-        );
-    }
-
-    #[test]
-    fn write_accesses_tracked() {
-        let mut l3 = small();
-        assert!(!l3.access_write(PhysAddr::new(0x2000)), "cold write misses");
-        assert!(l3.access_write(PhysAddr::new(0x2000)));
-        assert!(l3.hits() >= 1);
-        assert!(l3.misses() >= 1);
-    }
 
     #[test]
     fn default_config_is_paper_scale() {

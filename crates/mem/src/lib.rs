@@ -9,43 +9,26 @@
 //! Fig. 5(b)).
 //!
 //! The timing model (`maco_core::system::MacoSystem::price_tile_step`)
-//! prices each CCM slice as a latency-bandwidth resource. There is no
-//! coherence directory, so coherence traffic is not priced. Of this
-//! crate the timing model reads [`dram`] and the [`L3Config`] geometry;
-//! [`cache`] and the functional stash/lock behaviour of [`l3`] are
-//! standalone models.
+//! prices each CCM slice as a latency-bandwidth resource and stash and
+//! lock as CCM occupancy, from data-movement volumes rather than a cache
+//! simulation. There is no coherence directory, so coherence traffic is
+//! not priced. This crate holds what that model reads:
 //!
-//! * [`cache`] — a generic set-associative, write-back cache model with
-//!   true-LRU replacement and line locking.
-//! * [`l3`] — the distributed L3: address-interleaved slices with stash and
-//!   lock support.
+//! * [`l3`] — the [`L3Config`] geometry: slice count and capacity.
 //! * [`dram`] — channel-interleaved DRAM with latency + bandwidth queuing.
 //!
-//! # Example: a stash that locks lines in L3
+//! # Example: the paper-scale L3
 //!
 //! ```
-//! use maco_mem::l3::{DistributedL3, L3Config};
-//! use maco_vm::PhysAddr;
+//! use maco_mem::L3Config;
 //!
-//! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let mut l3 = DistributedL3::new(L3Config::default());
-//! // Stash 4 KB at physical 0x10000 and lock it.
-//! let fetched = l3.stash(PhysAddr::new(0x10000), 4096, true)?;
-//! assert_eq!(fetched, 64, "64 lines fetched from DRAM");
-//! assert!(l3.lookup(PhysAddr::new(0x10040)), "subsequent access hits");
-//! # Ok(())
-//! # }
+//! let l3 = L3Config::default();
+//! assert_eq!(l3.slices, 16, "one slice per CCM of the 4×4 mesh");
+//! assert_eq!(l3.total_bytes(), 32 * 1024 * 1024);
 //! ```
 
-pub mod cache;
 pub mod dram;
 pub mod l3;
 
-pub use cache::{AccessOutcome, SetAssocCache};
 pub use dram::{Dram, DramConfig};
-pub use l3::{DistributedL3, L3Config, StashError};
-
-/// Cache-line size used throughout MACO (bytes).
-pub const LINE_BYTES: u64 = 64;
-/// Log2 of the line size.
-pub const LINE_SHIFT: u32 = 6;
+pub use l3::L3Config;

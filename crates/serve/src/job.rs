@@ -272,23 +272,42 @@ impl JobQueue {
         Ok(())
     }
 
-    /// The job the policy starts next on `free` nodes: the best queued job
-    /// whose width fits (backfill), or `None` when nothing fits.
+    /// The job the policy starts next at `now` on `free` nodes: the best
+    /// queued job whose width fits (backfill) and that has arrived by
+    /// `now`, or `None` when nothing does.
+    ///
+    /// A job arriving after `now` is queued only when a completion leapt
+    /// past its arrival and admitted it early; it is not eligible yet. The
+    /// second value is the earliest arrival skipped that way, the instant
+    /// to retry at. It is exact whenever the pick is `None`.
     ///
     /// `served[t]` is tenant `t`'s completed GEMM flops so far; `weights[t]`
     /// its fair-share weight. Both are only read by [`Policy::FairShare`].
-    pub fn pick(&self, free: usize, served: &[u64], weights: &[u32]) -> Option<JobId> {
-        self.ready
+    pub fn pick(
+        &self,
+        free: usize,
+        now: SimTime,
+        served: &[u64],
+        weights: &[u32],
+    ) -> (Option<JobId>, Option<SimTime>) {
+        let mut early: Option<SimTime> = None;
+        let best = self
+            .ready
             .iter()
             .take(free)
-            .flat_map(|lanes| {
-                lanes
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(lane, set)| set.first().map(|key| (lane, key)))
+            .flat_map(|lanes| lanes.iter().enumerate())
+            .filter_map(|(lane, set)| {
+                for key in set {
+                    if key.1 <= now {
+                        return Some((lane, key));
+                    }
+                    early = Some(early.map_or(key.1, |e| e.min(key.1)));
+                }
+                None
             })
             .min_by(|&a, &b| self.policy.cmp_heads(a, b, served, weights))
-            .map(|(_, key)| key.2)
+            .map(|(_, key)| key.2);
+        (best, early)
     }
 
     /// Removes a job that was scheduled (or cancelled); returns it, or
@@ -351,7 +370,7 @@ mod tests {
         assert_eq!(q.pending().collect::<Vec<_>>(), [JobId(1), JobId(2)]);
         q.clear();
         assert!(q.is_empty());
-        assert_eq!(q.pick(1, &[0], &[1]), None);
+        assert_eq!(q.pick(1, SimTime::MAX, &[0], &[1]), (None, None));
     }
 
     #[test]

@@ -21,7 +21,9 @@
 //!   `(arrival, id)`.
 //!
 //! A pick compares the heads of the width classes that fit the free node
-//! count. FairShare first orders those heads by their tenant's
+//! count. A set's head is its first job that has arrived by the pick's
+//! instant: a completion that leaps ahead on the simulated clock admits
+//! the arrivals it passed, and those wait until their own arrival. FairShare first orders those heads by their tenant's
 //! `served / weight` (cross-multiplied, so the comparison stays in
 //! integers), then by `(arrival, id)`; that is O(tenants × widths) per
 //! pick. Admission and removal are O(log n) in queue depth. The pick is
@@ -137,7 +139,10 @@ mod tests {
         for &j in jobs {
             queue.admit(j).unwrap();
         }
-        queue.pick(free, served, weights).map(|id| id.0)
+        queue
+            .pick(free, SimTime::MAX, served, weights)
+            .0
+            .map(|id| id.0)
     }
 
     #[test]

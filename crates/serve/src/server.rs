@@ -914,11 +914,17 @@ impl Engine {
                 return Ok(());
             }
             let free = self.pool.free_count(now);
-            let Some(id) = self.queue.pick(free, &self.served, &self.weights) else {
+            let (pick, early) = self.queue.pick(free, now, &self.served, &self.weights);
+            let Some(id) = pick else {
                 // Blocked on nodes that free later on the simulated clock
                 // (their completions were processed ahead of `now` in
-                // event order): arm the retry wake-up.
-                if let Some(t) = self.pool.next_free_after(now) {
+                // event order), or on jobs admitted ahead of their arrival
+                // by such a completion: arm the retry wake-up.
+                if let Some(t) = [self.pool.next_free_after(now), early]
+                    .into_iter()
+                    .flatten()
+                    .min()
+                {
                     self.wake = Some(self.wake.map_or(t, |w| w.min(t)));
                 }
                 return Ok(());

@@ -526,3 +526,108 @@ fn deadlines_and_priorities_are_observed() {
     assert_eq!(report.tenants[0].deadline_misses, 1);
     assert_eq!(report.tenants[0].completed, 1);
 }
+
+/// One FP32 job of `layers` `d`³ GEMMs, with no deadline.
+fn cube_job(
+    tenant: usize,
+    d: u64,
+    layers: u64,
+    arrival_ns: u64,
+    priority: u8,
+    gang: usize,
+) -> JobSpec {
+    JobSpec {
+        tenant,
+        layers: vec![GemmPlusTask::gemm(d, d, d, Precision::Fp32); layers as usize],
+        arrival: SimTime::ZERO + SimDuration::from_ns(arrival_ns),
+        priority,
+        deadline: None,
+        gang_width: gang,
+    }
+}
+
+/// Serves `specs` with the trace sink on and asserts that every
+/// `job/dispatch` record is at or after its job's arrival, read from the
+/// job's `job/admit` record (stamped at the arrival instant and, unlike
+/// `job/arrive`, only carrying ids of admitted jobs).
+fn serve_asserting_no_early_dispatch(
+    nodes: usize,
+    config: ServeConfig,
+    specs: Vec<JobSpec>,
+) -> ServeReport {
+    let sink = maco_telemetry::TraceSink::on();
+    let mut server = Server::new(small_system(nodes), Tenant::fleet(4), config);
+    server.set_trace_sink(sink.clone());
+    let report = server.run_jobs(specs).expect("episode completes");
+    let records = sink.drain().expect("sink is on").records;
+    let arrivals: std::collections::HashMap<u64, SimTime> = records
+        .iter()
+        .filter(|r| r.name == "job/admit")
+        .map(|r| (r.job, r.start))
+        .collect();
+    for r in records.iter().filter(|r| r.name == "job/dispatch") {
+        let arrival = arrivals[&r.job];
+        assert!(
+            r.start >= arrival,
+            "job {} dispatched at {:?}, before its arrival at {arrival:?}",
+            r.job,
+            r.start
+        );
+    }
+    report
+}
+
+/// A completion whose final step leaps far ahead admits the arrivals it
+/// leapt; an earlier completion must not then start one of them before it
+/// arrives. Here job 0's last step leaps 41.598 → 48.158 µs and admits the
+/// 1³ job arriving at 47.856 µs, while job 3 still completes at 45.570 µs
+/// with a node to hand out.
+#[test]
+fn an_admitted_job_never_starts_before_it_arrives() {
+    let specs = vec![
+        cube_job(0, 128, 1, 18_716, 1, 1),
+        cube_job(1, 1, 1, 29_600, 1, 2),
+        cube_job(0, 128, 1, 29_600, 0, 2),
+        cube_job(0, 96, 1, 29_602, 0, 1),
+        cube_job(0, 1, 1, 47_856, 0, 1),
+        cube_job(1, 8, 1, 47_857, 0, 2),
+        cube_job(2, 64, 2, 47_858, 2, 1),
+    ];
+    let config = ServeConfig {
+        queue_capacity: 7,
+        ..ServeConfig::with_policy(Policy::FairShare)
+    };
+    let report = serve_asserting_no_early_dispatch(4, config, specs);
+    assert_eq!(report.jobs_completed, 7);
+}
+
+proptest! {
+    /// No policy starts a job before it arrives, over traces whose
+    /// arrivals are microseconds apart so long final steps leap several of
+    /// them, with small queues, 1³ jobs and multi-layer jobs mixed in.
+    #[test]
+    fn no_job_is_dispatched_before_its_arrival(
+        raw in proptest::collection::vec(
+            (0usize..4, 0u64..5, 1u64..3, 1usize..4, 0u64..8_000, 0u8..3),
+            4..12,
+        ),
+        nodes in 1usize..5,
+        queue_capacity in 2usize..8,
+        policy in 0u64..3,
+    ) {
+        let mut arrival_ns = 0;
+        let specs = raw
+            .iter()
+            .map(|&(tenant, dim, layers, gang, gap_ns, priority)| {
+                arrival_ns += gap_ns;
+                let d = if dim == 0 { 1 } else { 32 * dim };
+                cube_job(tenant, d, layers, arrival_ns, priority, gang)
+            })
+            .collect();
+        let config = ServeConfig {
+            queue_capacity,
+            ..ServeConfig::with_policy(policy_of(policy))
+        };
+        serve_asserting_no_early_dispatch(nodes, config, specs);
+    }
+}

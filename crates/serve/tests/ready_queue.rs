@@ -3,7 +3,7 @@
 //!
 //! The reference below is the scheduler's original `select`: build one
 //! candidate per queued job and take the policy-minimal one that fits the
-//! free nodes. Random admit/pick/remove sequences drive the queue and the
+//! free nodes and has arrived by the pick's instant. Random admit/pick/remove sequences drive the queue and the
 //! reference side by side, under every policy, and every pick must agree.
 //! The draws are tie storms on purpose — a handful of arrival instants,
 //! flop counts and priorities, and `served` kept on a lattice of the
@@ -16,17 +16,18 @@ use maco_serve::{JobId, JobQueue, Policy, QueuedJob};
 use maco_sim::{SimDuration, SimTime};
 
 /// The reference: the policy-minimal candidate whose gang width fits
-/// `free` (backfill), by a full scan.
+/// `free` (backfill) and that has arrived by `now`, by a full scan.
 fn select(
     policy: Policy,
     candidates: &[QueuedJob],
     free: usize,
+    now: SimTime,
     served: &[u64],
     weights: &[u32],
 ) -> Option<JobId> {
     candidates
         .iter()
-        .filter(|c| c.width <= free)
+        .filter(|c| c.width <= free && c.arrival <= now)
         .min_by(|a, b| match policy {
             Policy::Fifo => b
                 .priority
@@ -79,12 +80,22 @@ fn replay(policy: Policy, ops: &[Op], weights: &[u32]) {
                     next_id += 1;
                 }
             }
-            // Pick on `a` free nodes (0..=16); two in three dispatch it.
+            // Pick on `a` free nodes (0..=16) at an instant that some
+            // arrivals may follow; two in three dispatch it.
             5..=7 => {
                 let free = a as usize;
-                let got = queue.pick(free, &served, weights);
-                let want = select(policy, &reference, free, &served, weights);
+                let now = SimTime::ZERO + SimDuration::from_ns(10 * (b + c));
+                let (got, early) = queue.pick(free, now, &served, weights);
+                let want = select(policy, &reference, free, now, &served, weights);
                 assert_eq!(got, want, "{policy:?} pick on {free} free nodes");
+                if got.is_none() {
+                    let first_unarrived = reference
+                        .iter()
+                        .filter(|j| j.width <= free && j.arrival > now)
+                        .map(|j| j.arrival)
+                        .min();
+                    assert_eq!(early, first_unarrived, "{policy:?} retry instant");
+                }
                 if let Some(id) = got.filter(|_| kind != 7) {
                     assert_eq!(queue.remove(id).map(|j| j.id), Some(id));
                     reference.retain(|j| j.id != id);
@@ -148,8 +159,8 @@ fn deep_drain_matches_the_reference_order() {
                 reference.push(job);
             }
             let mut served = [0u64; 3];
-            while let Some(id) = queue.pick(free, &served, &weights) {
-                let want = select(policy, &reference, free, &served, &weights);
+            while let (Some(id), _) = queue.pick(free, SimTime::MAX, &served, &weights) {
+                let want = select(policy, &reference, free, SimTime::MAX, &served, &weights);
                 assert_eq!(Some(id), want, "{policy:?} on {free} free nodes");
                 let job = queue.remove(id).unwrap();
                 reference.retain(|j| j.id != id);

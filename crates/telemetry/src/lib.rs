@@ -1,6 +1,6 @@
 //! # maco-telemetry — observability for the MACO stack
 //!
-//! Three layers, all deterministic and all optional:
+//! Two layers, both deterministic and both optional:
 //!
 //! * [`TraceSink`] / [`Trace`] — a virtual-time span/event tracer. Sites in
 //!   `maco-serve` and `maco-cluster` record job-lifecycle and fleet events
@@ -14,8 +14,6 @@
 //! * [`Log2Histogram`] — fixed-bucket log2 histograms for latency and
 //!   queue-depth distributions. All-integer bucketing and percentiles,
 //!   mergeable across machines and engine incarnations.
-//! * [`PhaseProfile`] — wall-clock phase timers for the bench harness
-//!   (emitted as flat `"phase_<name>_ms"` fields in BENCH_perf*.json).
 //!
 //! The contract that keeps the simulator honest: a disabled sink
 //! ([`TraceSink::off`]) is a `None` and every record call is a no-op, so
@@ -28,10 +26,8 @@
 
 pub mod chrome;
 pub mod hist;
-pub mod profile;
 pub mod trace;
 
 pub use chrome::{validate_chrome_json, ChromeSummary};
 pub use hist::Log2Histogram;
-pub use profile::PhaseProfile;
 pub use trace::{Trace, TraceRecord, TraceSink, ROUTER_TRACK, SCHED_ROW};

@@ -128,11 +128,6 @@ impl PhysAddr {
     pub const fn frame_base(self) -> PhysAddr {
         PhysAddr(self.0 & !(PAGE_SIZE - 1))
     }
-
-    /// 64-byte cache-line index of this address.
-    pub const fn line_number(self) -> u64 {
-        self.0 >> 6
-    }
 }
 
 impl Add<u64> for VirtAddr {
@@ -226,7 +221,6 @@ mod tests {
     #[test]
     fn phys_addr_lines_and_frames() {
         let pa = PhysAddr::new(0x1040);
-        assert_eq!(pa.line_number(), 0x41);
         assert_eq!(pa.frame_number(), 1);
         assert_eq!(pa.frame_base().raw(), 0x1000);
         assert_eq!(pa.page_offset(), 0x40);

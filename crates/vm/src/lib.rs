@@ -8,8 +8,8 @@
 //! * [`page_table`] — ARMv8-style 4-level radix page tables stored in
 //!   simulated physical memory, so a page-table walk has concrete memory
 //!   addresses (and therefore concrete latencies) at every level.
-//! * [`tlb`] — an LRU translation look-aside buffer used for the CPU's
-//!   48-entry L1 TLBs and the 1024-entry shared L2 TLB (Table I).
+//! * [`tlb`] — an LRU translation look-aside buffer, used for the CPU's
+//!   1024-entry shared L2 TLB (Table I) that the MMAE borrows.
 //! * [`walker`] — the page-table walker producing both the translation and
 //!   the list of memory reads it performed (for timing).
 //! * [`matlb`] — the paper's **predictive address translation** unit

@@ -10,7 +10,6 @@
 use maco_isa::Asid;
 use maco_sim::hash::FxHashMap;
 
-use crate::addr::PhysAddr;
 use crate::page_table::PageFlags;
 
 /// A cached translation: virtual page → physical frame with permissions.
@@ -20,13 +19,6 @@ pub struct TlbEntry {
     pub frame: u64,
     /// Leaf permissions.
     pub flags: PageFlags,
-}
-
-impl TlbEntry {
-    /// Rebuilds the physical address for an access at `page_offset`.
-    pub fn phys_addr(&self, page_offset: u64) -> PhysAddr {
-        PhysAddr::new((self.frame << 12) | page_offset)
-    }
 }
 
 const NIL: u32 = u32::MAX;
@@ -524,12 +516,6 @@ mod tests {
         // Still usable after flush.
         tlb.insert(asid(0), 2, entry(2));
         assert_eq!(tlb.len(), 1);
-    }
-
-    #[test]
-    fn phys_addr_reconstruction() {
-        let e = entry(0x123);
-        assert_eq!(e.phys_addr(0x456).raw(), (0x123 << 12) | 0x456);
     }
 
     #[test]

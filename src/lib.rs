@@ -8,8 +8,9 @@
 //! * [`mmae`] — the matrix-multiplication acceleration engine.
 //! * [`isa`] — the MPAIS instruction set and task queues.
 //! * [`vm`] — page tables, TLBs and the mATLB predictor.
-//! * [`mem`] — caches, lockable L3, DRAM (CCMs are priced as
-//!   latency-bandwidth resources, with no coherence directory).
+//! * [`mem`] — the L3 geometry and DRAM (CCMs are priced as
+//!   latency-bandwidth resources, with no cache simulation and no
+//!   coherence directory).
 //! * [`noc`] — the 4×4 mesh network.
 //! * [`cpu`] — the general-purpose core model.
 //! * [`workloads`] — HPL sweeps, DNN GEMM streams and multi-tenant
@@ -24,8 +25,8 @@
 //!   `Explorer` → Pareto frontiers, roofline gaps and the named
 //!   Fig. 6/7/8 experiments.
 //! * [`telemetry`] — the observability layer: the deterministic
-//!   virtual-time tracer (Chrome `trace_event` export), mergeable log2
-//!   latency histograms and wall-clock phase profiles.
+//!   virtual-time tracer (Chrome `trace_event` export) and mergeable
+//!   log2 latency histograms.
 //!
 //! # Quickstart
 //!
