@@ -93,7 +93,8 @@ fn sa_tile_cycles(
 }
 
 /// DMA service time for `bytes` through the CCM path: the transfer fans
-/// out over `ccm_fanout` slices served in parallel, and the slowest shard
+/// out over [`SystemConfig::ccm_shards`] slices served in parallel — the
+/// machine's own shard count — and the slowest shard
 /// bounds it — directory lookup, CCM service of the shard, then the shard
 /// crossing the mesh back (two serialised link acquires on a multi-hop
 /// X-Y route, which is what the worst slice of a fanout window pays).
@@ -101,7 +102,7 @@ fn dma_fs(config: &SystemConfig, bytes: u64) -> u64 {
     if bytes == 0 {
         return 0;
     }
-    let shard = bytes.div_ceil(config.ccm_fanout.max(1) as u64) as f64;
+    let shard = bytes.div_ceil(config.ccm_shards() as u64) as f64;
     let ns = shard / config.ccm_gbps.max(f64::MIN_POSITIVE)
         + 2.0 * shard / config.fabric.link_gbps.max(f64::MIN_POSITIVE);
     config.ccm_latency.as_fs() + SimDuration::from_ns_f64(ns).as_fs()
@@ -318,6 +319,24 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn fanout_beyond_the_slice_count_costs_what_the_machine_charges() {
+        // With two slices the machine splits a transfer into two shards
+        // whether the fanout asks for two or four, so the model must too.
+        let mut cfg = SystemConfig::default();
+        cfg.l3.slices = 2;
+        let tiling = cfg.mmae.tiling;
+        let cost = |fanout| {
+            let cfg = SystemConfig {
+                ccm_fanout: fanout,
+                ..cfg.clone()
+            };
+            model_cost_fs(&cfg, 1024, 1024, 1024, Precision::Fp64, &tiling)
+        };
+        assert_eq!(cost(2), cost(4));
+        assert_ne!(cost(1), cost(2));
     }
 
     #[test]

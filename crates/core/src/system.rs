@@ -28,7 +28,7 @@ use maco_mmae::engine::TASK_ISSUE_CYCLES;
 use maco_mmae::tiling::{block_passes, tiles_into, BlockPass, Tile};
 use maco_mmae::translate::{PassKey, StreamTranslation, TranslationContext, TranslationMemo};
 use maco_mmae::Mmae;
-use maco_noc::fabric::{FabricConfig, MeshFabric};
+use maco_noc::fabric::{FabricConfig, MeshFabric, Route};
 use maco_noc::sfc::TileOrder;
 use maco_noc::topology::NodeId;
 use maco_sim::{FxHashMap, LatencyBandwidthResource, SimDuration, SimTime, Stats};
@@ -59,7 +59,8 @@ pub struct SystemConfig {
     pub ccm_gbps: f64,
     /// How many slices one tile transfer spreads across (line interleave
     /// means real transfers touch every slice; the simulator aggregates to
-    /// this fan-out per step for tractability).
+    /// this fan-out per step for tractability). Clamped to the slice count
+    /// and to at least one: see [`SystemConfig::ccm_shards`].
     pub ccm_fanout: usize,
     /// Predictive address translation (Fig. 6 "with prediction").
     pub prediction: bool,
@@ -130,6 +131,13 @@ impl SystemConfig {
             nodes: 1,
             ..SystemConfig::default()
         }
+    }
+
+    /// How many shards one tile transfer actually splits into:
+    /// [`SystemConfig::ccm_fanout`] clamped to the L3 slice count (a window
+    /// wider than the slices would revisit one) and to at least one.
+    pub fn ccm_shards(&self) -> usize {
+        self.ccm_fanout.min(self.l3.slices).max(1)
     }
 }
 
@@ -216,7 +224,6 @@ struct NodeState {
     mmae: Mmae,
     stq: SlaveTaskQueue,
     asid: Asid,
-    pos: NodeId,
 }
 
 /// The MACO system.
@@ -229,9 +236,14 @@ pub struct MacoSystem {
     mapped: FxHashMap<u64, u64>, // region base → mapped bytes
     nodes: Vec<NodeState>,
     next_frame: u64,
-    /// Mesh position of each L3 slice's CCM, precomputed (resolved several
-    /// times per tile step).
+    /// Mesh position of each L3 slice's CCM.
     slice_positions: Vec<NodeId>,
+    /// `routes[node * slices + slice]`: the mesh routes from a node to a
+    /// slice's CCM and back, resolved once (every tile step walks
+    /// [`SystemConfig::ccm_shards`] of them in each direction).
+    routes: Vec<[Route; 2]>,
+    /// [`SystemConfig::ccm_shards`].
+    fanout: usize,
     /// Cross-node translation mirror (see
     /// [`MacoSystem::translate_pass_mirrored`]).
     mirror: TranslationMirror,
@@ -263,12 +275,21 @@ impl MacoSystem {
                 mmae: Mmae::new(config.mmae),
                 stq: SlaveTaskQueue::new(config.mmae.stq_entries),
                 asid: Asid::new(i as u16 + 1),
-                pos: placement[i],
             })
             .collect();
         let count = config.fabric.shape.node_count();
+        let fabric = MeshFabric::new(config.fabric);
+        let slice_positions: Vec<NodeId> = (0..slices)
+            .map(|s| config.fabric.shape.node_at(s % count))
+            .collect();
+        let mut routes = Vec::with_capacity(config.nodes * slices);
+        for &np in &placement[..config.nodes] {
+            for &cp in &slice_positions {
+                routes.push([fabric.route(np, cp), fabric.route(cp, np)]);
+            }
+        }
         MacoSystem {
-            fabric: MeshFabric::new(config.fabric),
+            fabric,
             ccms: (0..slices)
                 .map(|_| LatencyBandwidthResource::new(config.ccm_latency, config.ccm_gbps))
                 .collect(),
@@ -277,9 +298,9 @@ impl MacoSystem {
             mapped: FxHashMap::default(),
             nodes,
             next_frame: FRAME_BASE,
-            slice_positions: (0..slices)
-                .map(|s| config.fabric.shape.node_at(s % count))
-                .collect(),
+            slice_positions,
+            routes,
+            fanout: config.ccm_shards(),
             mirror: TranslationMirror {
                 history: vec![Some(0); config.nodes],
                 cache: FxHashMap::default(),
@@ -767,6 +788,10 @@ impl MacoSystem {
 
         run.tile_idx += 1;
         run.step_counter += 1;
+        run.slice += 1;
+        if run.slice == self.ccms.len() {
+            run.slice = 0;
+        }
         if run.tile_idx == run.tiles.len() {
             run.tile_idx = 0;
             run.pass_idx += 1;
@@ -780,56 +805,32 @@ impl MacoSystem {
     /// Cost of one tile step: SA sweep overlapped with DMA in/out plus the
     /// serialised translation stall.
     fn price_tile_step(&mut self, run: &mut GemmRun, pass: &BlockPass, tile: &Tile) -> SimDuration {
-        let t = self.config.mmae.tiling;
-        let clock = self.config.mmae.clock;
-        let e = run.params.elem_bytes();
-        let precision = run.params.precision;
-        let now = run.now;
-
-        // SA time over the reduction sweep. Consecutive tiles of a pass
-        // mostly share one shape (only the ragged edge differs), so the
-        // sweep is computed once per distinct `(rows, cols, depth)` and
-        // replayed from a one-entry cache — same arithmetic, same result.
-        let sa_shape = (tile.rows, tile.cols, pass.depth);
-        let sa_cycles = match run.sa_cycle_cache {
-            Some((shape, cycles)) if shape == sa_shape => cycles,
+        // Consecutive tiles of a pass mostly share one class (only the
+        // ragged edge differs), so the plan is replayed from a one-entry
+        // cache — same arithmetic, same result.
+        let class = (tile.rows, tile.cols, pass.depth, pass.first_k, pass.last_k);
+        let plan = match run.plan {
+            Some(plan) if plan.class == class => plan,
             _ => {
-                let lanes = self.config.mmae.lanes(precision);
-                let mut cycles = 0u64;
-                let mut k_left = pass.depth;
-                while k_left > 0 {
-                    let chunk = k_left.min(t.ttk);
-                    cycles += self.nodes[run.node]
-                        .mmae
-                        .sa()
-                        .tile_cycles_lanes(tile.rows, tile.cols, chunk, lanes);
-                    k_left -= chunk;
-                }
-                run.sa_cycle_cache = Some((sa_shape, cycles));
-                cycles
+                let plan = self.step_plan(run, pass, tile);
+                run.plan = Some(plan);
+                plan
             }
         };
-        let sa_time = clock.cycles(sa_cycles);
-        run.sa_busy += sa_time;
-
-        // DMA byte counts.
-        let mut in_bytes = tile.rows * pass.depth * e + pass.depth * tile.cols * e;
-        if pass.first_k {
-            in_bytes += tile.rows * tile.cols * e;
-        }
-        let out_bytes = if pass.last_k {
-            tile.rows * tile.cols * e
-        } else {
-            0
-        };
-        run.dma_bytes += in_bytes + out_bytes;
+        let now = run.now;
+        run.sa_busy += plan.sa_time;
+        run.dma_bytes += plan.in_bytes + plan.out_bytes;
 
         // Shared-resource pricing. Each step's transfer fans out over a
         // rotating window of CCM slices (line interleave aggregated per
         // step).
-        let slice = (run.step_counter as usize + run.node) % self.ccms.len();
+        let slice = run.slice;
+        debug_assert_eq!(
+            slice,
+            (run.step_counter as usize + run.node) % self.ccms.len()
+        );
         let dma_in = if self.config.stash_lock {
-            let done = self.price_l3_read(run.node, slice, in_bytes, now);
+            let done = self.price_l3_read(run.node, slice, &plan.dma_in, now);
             done.saturating_since(now)
         } else {
             // Baseline-2: streams miss the (unlocked, thrashed) L3 in
@@ -837,8 +838,8 @@ impl MacoSystem {
             // missing portion refills from DRAM *through* the CCM — the
             // request still performs the directory lookup — so the step
             // pays DRAM + mesh on the miss share and then full CCM service.
-            let miss = self.unmapped_miss_fraction(pass, e);
-            let dram_bytes = (in_bytes as f64 * miss) as u64;
+            let miss = self.unmapped_miss_fraction(pass, run.params.elem_bytes());
+            let dram_bytes = (plan.in_bytes as f64 * miss) as u64;
             let refill_done = if dram_bytes > 0 {
                 let addr = PhysAddr::new(FRAME_BASE + run.step_counter * 4096);
                 let d = self.dram.access_bulk(addr, dram_bytes, now);
@@ -852,24 +853,23 @@ impl MacoSystem {
             // DMA overlaps at most `dma_mshr` line fills, so the stream
             // pays latency / MSHR per missing line — a serial stall the SA
             // cannot hide (recorded into the step below).
-            let lines = dram_bytes / crate::system::LINE_BYTES;
+            let lines = dram_bytes / LINE_BYTES;
             run.unmapped_stall = SimDuration::from_fs(
                 self.config.dram.latency.as_fs() * lines / self.config.dma_mshr.max(1),
             );
-            let done = self.price_l3_read(run.node, slice, in_bytes, refill_done);
+            let done = self.price_l3_read(run.node, slice, &plan.dma_in, refill_done);
             done.saturating_since(now)
         };
-        let dma_in = dma_in.max(clock.cycles(in_bytes.div_ceil(64)));
+        let dma_in = dma_in.max(plan.in_floor);
 
-        let dma_out = if out_bytes > 0 {
-            let done = self.price_l3_write(run.node, slice, out_bytes, now);
-            done.saturating_since(now)
-                .max(clock.cycles(out_bytes.div_ceil(64)))
+        let dma_out = if plan.out_bytes > 0 {
+            let done = self.price_l3_write(run.node, slice, &plan.dma_out, now);
+            done.saturating_since(now).max(plan.out_floor)
         } else {
             SimDuration::ZERO
         };
 
-        let mut step = sa_time.max(dma_in).max(dma_out);
+        let mut step = plan.sa_time.max(dma_in).max(dma_out);
         if run.first_step {
             step += dma_in;
             run.first_step = false;
@@ -879,37 +879,106 @@ impl MacoSystem {
         step + run.step_stall + unmapped
     }
 
-    /// Read path: the transfer fans out over `ccm_fanout` slices starting
-    /// at `slice`; each shard is a header to the CCM, slice occupancy, and
-    /// data back to the node. Shards proceed in parallel; the slowest
-    /// bounds the transfer.
-    fn price_l3_read(&mut self, node: usize, slice: usize, bytes: u64, now: SimTime) -> SimTime {
-        let np = self.nodes[node].pos;
-        let fanout = self.config.ccm_fanout.min(self.ccms.len()).max(1);
-        let shard = bytes.div_ceil(fanout as u64);
+    /// The [`StepPlan`] of `tile` in `pass`: everything its step costs that
+    /// follows from the tile class alone.
+    fn step_plan(&self, run: &GemmRun, pass: &BlockPass, tile: &Tile) -> StepPlan {
+        let t = self.config.mmae.tiling;
+        let clock = self.config.mmae.clock;
+        let e = run.params.elem_bytes();
+
+        // SA time over the reduction sweep, chunked by the buffer tile.
+        let lanes = self.config.mmae.lanes(run.params.precision);
+        let sa = self.nodes[run.node].mmae.sa();
+        let mut sa_cycles = 0u64;
+        let mut k_left = pass.depth;
+        while k_left > 0 {
+            let chunk = k_left.min(t.ttk);
+            sa_cycles += sa.tile_cycles_lanes(tile.rows, tile.cols, chunk, lanes);
+            k_left -= chunk;
+        }
+
+        // DMA byte counts.
+        let mut in_bytes = tile.rows * pass.depth * e + pass.depth * tile.cols * e;
+        if pass.first_k {
+            in_bytes += tile.rows * tile.cols * e;
+        }
+        let out_bytes = if pass.last_k {
+            tile.rows * tile.cols * e
+        } else {
+            0
+        };
+        StepPlan {
+            class: (tile.rows, tile.cols, pass.depth, pass.first_k, pass.last_k),
+            sa_time: clock.cycles(sa_cycles),
+            in_bytes,
+            out_bytes,
+            dma_in: self.shard(in_bytes),
+            dma_out: self.shard(out_bytes),
+            in_floor: clock.cycles(in_bytes.div_ceil(LINE_BYTES)),
+            out_floor: clock.cycles(out_bytes.div_ceil(LINE_BYTES)),
+        }
+    }
+
+    /// One shard of a `bytes` transfer split over the CCM fanout. Every
+    /// link shares `link_gbps` and every slice `ccm_gbps`, so one service
+    /// time per resource kind is the rounding each resource would charge.
+    fn shard(&self, bytes: u64) -> Shard {
+        let bytes = bytes.div_ceil(self.fanout as u64);
+        Shard {
+            bytes,
+            link: self.fabric.link_service_time(bytes),
+            ccm: self.ccms[0].service_time(bytes),
+        }
+    }
+
+    /// Read path: the transfer fans out over [`SystemConfig::ccm_shards`]
+    /// slices starting at `slice`; each shard is a header to the CCM, slice
+    /// occupancy, and data back to the node. Shards proceed in parallel;
+    /// the slowest bounds the transfer.
+    fn price_l3_read(&mut self, node: usize, slice: usize, shard: &Shard, now: SimTime) -> SimTime {
+        let slices = self.ccms.len();
+        let routes = &self.routes[node * slices..][..slices];
+        let mut s = slice;
         let mut done = now;
-        for j in 0..fanout {
-            let s = (slice + j) % self.ccms.len();
-            let cp = self.slice_pos(s);
-            let req = self.fabric.send_control(np, cp, now);
-            let srv = self.ccms[s].access(req, shard);
-            done = done.max(self.fabric.send_bulk(cp, np, shard, srv));
+        for _ in 0..self.fanout {
+            let [to_slice, from_slice] = routes[s];
+            let req = self.fabric.send_control_on(to_slice, now);
+            let srv = self.ccms[s].access_train(req, shard.ccm, shard.bytes);
+            done = done.max(
+                self.fabric
+                    .send_bulk_on(from_slice, shard.bytes, shard.link, srv),
+            );
+            s += 1;
+            if s == slices {
+                s = 0;
+            }
         }
         done
     }
 
     /// Write path: data shards to the CCMs, occupancy, short acks back.
-    fn price_l3_write(&mut self, node: usize, slice: usize, bytes: u64, now: SimTime) -> SimTime {
-        let np = self.nodes[node].pos;
-        let fanout = self.config.ccm_fanout.min(self.ccms.len()).max(1);
-        let shard = bytes.div_ceil(fanout as u64);
+    fn price_l3_write(
+        &mut self,
+        node: usize,
+        slice: usize,
+        shard: &Shard,
+        now: SimTime,
+    ) -> SimTime {
+        let slices = self.ccms.len();
+        let routes = &self.routes[node * slices..][..slices];
+        let mut s = slice;
         let mut done = now;
-        for j in 0..fanout {
-            let s = (slice + j) % self.ccms.len();
-            let cp = self.slice_pos(s);
-            let data = self.fabric.send_bulk(np, cp, shard, now);
-            let srv = self.ccms[s].access(data, shard);
-            done = done.max(self.fabric.send_control(cp, np, srv));
+        for _ in 0..self.fanout {
+            let [to_slice, from_slice] = routes[s];
+            let data = self
+                .fabric
+                .send_bulk_on(to_slice, shard.bytes, shard.link, now);
+            let srv = self.ccms[s].access_train(data, shard.ccm, shard.bytes);
+            done = done.max(self.fabric.send_control_on(from_slice, srv));
+            s += 1;
+            if s == slices {
+                s = 0;
+            }
         }
         done
     }
@@ -1246,6 +1315,9 @@ struct GemmRun {
     pass_idx: usize,
     tile_idx: usize,
     step_counter: u64,
+    /// The first CCM slice of the step's fanout window:
+    /// `(step_counter + node) % slices`, advanced with the counter.
+    slice: usize,
     now: SimTime,
     start: SimTime,
     stash_ready: SimTime,
@@ -1257,8 +1329,37 @@ struct GemmRun {
     dma_bytes: u64,
     peak_gflops: f64,
     memo: TranslationMemo,
-    /// One-entry SA-sweep cache: `(rows, cols, depth)` → cycles.
-    sa_cycle_cache: Option<((u64, u64, u64), u64)>,
+    /// One-entry step-plan cache: the plan of the last tile class stepped.
+    plan: Option<StepPlan>,
+}
+
+/// One direction of a tile step's DMA, sharded over the CCM fanout.
+#[derive(Debug, Clone, Copy)]
+struct Shard {
+    /// Bytes each shard carries.
+    bytes: u64,
+    /// A shard's serialisation time on a mesh link.
+    link: SimDuration,
+    /// A shard's service occupancy in a CCM slice.
+    ccm: SimDuration,
+}
+
+/// Everything a tile step costs that follows from its tile class alone,
+/// computed once per class (see [`MacoSystem::step_plan`]).
+#[derive(Debug, Clone, Copy)]
+struct StepPlan {
+    /// `(tile rows, tile cols, pass depth, first_k, last_k)`.
+    class: (u64, u64, u64, bool, bool),
+    /// SA time over the pass's reduction sweep.
+    sa_time: SimDuration,
+    in_bytes: u64,
+    out_bytes: u64,
+    dma_in: Shard,
+    dma_out: Shard,
+    /// Floors on the DMA times: the engine moves at most one line per
+    /// cycle.
+    in_floor: SimDuration,
+    out_floor: SimDuration,
 }
 
 impl GemmRun {
@@ -1271,6 +1372,7 @@ impl GemmRun {
             pass_idx: 0,
             tile_idx: 0,
             step_counter: 0,
+            slice: node % config.l3.slices,
             now: t0,
             start: SimTime::ZERO,
             stash_ready: SimTime::ZERO,
@@ -1282,7 +1384,7 @@ impl GemmRun {
             dma_bytes: 0,
             peak_gflops: config.mmae.peak_gflops(params.precision),
             memo: TranslationMemo::new(),
-            sa_cycle_cache: None,
+            plan: None,
             params_sig: params_signature(&params),
             params,
         }
@@ -1667,3 +1769,6 @@ mod tests {
         assert!(r.max_link_utilization >= r.mean_link_utilization);
     }
 }
+
+#[cfg(test)]
+mod pricing_tests;

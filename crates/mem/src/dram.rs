@@ -57,7 +57,7 @@ impl DramConfig {
 /// let done = dram.access(PhysAddr::new(0x1000), 64, SimTime::ZERO);
 /// assert!(done > SimTime::ZERO);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dram {
     config: DramConfig,
     channels: Vec<LatencyBandwidthResource>,

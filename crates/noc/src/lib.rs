@@ -7,11 +7,13 @@
 //! (bidirectional read/write bandwidth, 256-bit@2GHz)" — Section III.A.
 //!
 //! [`fabric`] models it as link occupancy ([`MeshFabric`]): every directed
-//! link is a bandwidth resource, packets reserve serialisation time along
-//! their X-Y path ([`routing`]), and link contention emerges naturally.
-//! This is what produces the multi-node efficiency loss of Fig. 7. There
-//! is no flit-level router: virtual channels and credit flow control are
-//! not modelled.
+//! link is a bandwidth resource. Bulk data serialises on the injection and
+//! ejection links of its X-Y path ([`routing`]) with pipelined hop latency
+//! between them, so flows meeting on an endpoint link queue; control
+//! messages ride their own virtual channel and pay hop latency only,
+//! charging no link. This contention is what produces the multi-node
+//! efficiency loss of Fig. 7. There is no flit-level router: credit flow
+//! control and per-VC buffers are not modelled.
 //!
 //! On top of the topology, [`sfc`] provides space-filling-curve orderings
 //! ([`TileOrder`]: row-major, Morton, generalized Hilbert) used by

@@ -28,18 +28,12 @@ use crate::time::{SimDuration, SimTime};
 /// assert_eq!(s1, SimTime::ZERO);
 /// assert_eq!(s2, e1); // second transfer queues behind the first
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BandwidthResource {
     fs_per_byte: f64,
     next_free: SimTime,
     busy: SimDuration,
     bytes: u64,
-    /// One-entry `bytes → service femtoseconds` memo. Tile streams acquire
-    /// the same transfer sizes over and over, and the float multiply-round
-    /// is a libm call on baseline x86-64; memoising a pure function leaves
-    /// results untouched. `(u64::MAX, _)` is the empty sentinel (such a
-    /// transfer just recomputes every time).
-    service_memo: std::cell::Cell<(u64, u64)>,
 }
 
 impl BandwidthResource {
@@ -56,7 +50,6 @@ impl BandwidthResource {
             next_free: SimTime::ZERO,
             busy: SimDuration::ZERO,
             bytes: 0,
-            service_memo: std::cell::Cell::new((u64::MAX, 0)),
         }
     }
 
@@ -76,13 +69,7 @@ impl BandwidthResource {
     /// The serialisation time of a `bytes`-sized transfer (rounded to the
     /// femtosecond exactly as [`BandwidthResource::acquire`] charges it).
     pub fn service_time(&self, bytes: u64) -> SimDuration {
-        let (memo_bytes, memo_fs) = self.service_memo.get();
-        if memo_bytes == bytes {
-            return SimDuration::from_fs(memo_fs);
-        }
-        let service = SimDuration::from_fs((self.fs_per_byte * bytes as f64).round() as u64);
-        self.service_memo.set((bytes, service.as_fs()));
-        service
+        SimDuration::from_fs((self.fs_per_byte * bytes as f64).round() as u64)
     }
 
     /// Reserves the resource for a back-to-back train of transfers all
@@ -146,7 +133,7 @@ impl BandwidthResource {
 ///
 /// The latency portion is *pipelined* (overlaps with other requests); only
 /// the occupancy portion serialises, as in a banked memory controller.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LatencyBandwidthResource {
     latency: SimDuration,
     bw: BandwidthResource,
