@@ -59,8 +59,9 @@ pub struct SystemConfig {
     pub ccm_gbps: f64,
     /// How many slices one tile transfer spreads across (line interleave
     /// means real transfers touch every slice; the simulator aggregates to
-    /// this fan-out per step for tractability). Clamped to the slice count
-    /// and to at least one: see [`SystemConfig::ccm_shards`].
+    /// this fan-out per step for tractability). At least one
+    /// ([`MacoSystem::new`] refuses 0); clamped to the slice count: see
+    /// [`SystemConfig::ccm_shards`].
     pub ccm_fanout: usize,
     /// Predictive address translation (Fig. 6 "with prediction").
     pub prediction: bool,
@@ -256,11 +257,14 @@ impl MacoSystem {
     ///
     /// # Panics
     ///
-    /// Panics if `nodes` is zero or exceeds the mesh capacity, or if the
-    /// L3 has no slice (tile steps spread their traffic over the slices).
+    /// Panics if `nodes` is zero or exceeds the mesh capacity, if the L3
+    /// has no slice (tile steps spread their traffic over the slices), or
+    /// if [`SystemConfig::ccm_fanout`] is zero (a transfer spreads over at
+    /// least one slice; [`crate::Maco::builder`] refuses it too).
     pub fn new(config: SystemConfig) -> Self {
         assert!(config.nodes >= 1, "need at least one compute node");
         assert!(config.l3.slices >= 1, "the L3 needs at least one slice");
+        assert!(config.ccm_fanout >= 1, "ccm_fanout must be at least 1");
         assert!(
             config.nodes <= config.fabric.shape.node_count(),
             "more nodes than mesh positions"
@@ -1433,6 +1437,16 @@ mod tests {
     fn an_l3_without_slices_is_rejected() {
         let mut config = small_config(1);
         config.l3.slices = 0;
+        MacoSystem::new(config);
+    }
+
+    /// A zero fan-out is refused when the system is built, with the same
+    /// message as the builder, instead of being priced as one shard.
+    #[test]
+    #[should_panic(expected = "ccm_fanout must be at least 1")]
+    fn a_zero_ccm_fanout_is_rejected() {
+        let mut config = small_config(1);
+        config.ccm_fanout = 0;
         MacoSystem::new(config);
     }
 

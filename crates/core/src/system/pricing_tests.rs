@@ -196,7 +196,7 @@ proptest! {
     #[test]
     fn planned_pricing_matches_per_send_pricing(
         mesh in (1u8..5, 1u8..5, 0usize..3),
-        l3 in (0usize..64, 1usize..40, 0usize..45),
+        l3 in (0usize..64, 1usize..40, 1usize..45),
         mode in (0usize..2, 0usize..4),
         seed in 0u64..u64::MAX,
     ) {

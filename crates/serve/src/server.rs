@@ -31,10 +31,14 @@
 //!   fingerprints survived the rebuild bit for bit);
 //! * **wake** — a single armed instant (at most one retry is ever
 //!   pending), kept as an `Option<SimTime>`;
-//! * **task steps** — a binary min-heap of in-flight gang members keyed
-//!   `(task.now(), dispatch seq)`. A task's key only changes while it is
-//!   *outside* the heap (pop → step batch → reinsert), so no decrease-key
-//!   operation is needed and a plain binary heap suffices.
+//! * **task steps** — a binary min-heap of `(task.now(), dispatch seq,
+//!   node)` keys over the in-flight gang members. A gang holds its nodes
+//!   exclusively, so each member lives in its node's slot and never moves
+//!   while in flight: the heap sifts 24-byte keys, and the due member is
+//!   stepped in place. A member's key only changes while it is *outside*
+//!   the heap (pop → step batch → reinsert), so no decrease-key operation
+//!   is needed and a plain binary heap suffices. `seq` is unique, so
+//!   `node` never decides the order.
 //!
 //! Admitted jobs wait in the **ready queue**, the policy-ordered
 //! [`JobQueue`]: ordered sets per gang-width class, keyed
@@ -248,10 +252,9 @@ impl Ord for PendingArrival {
     }
 }
 
-/// One gang member's task in flight, ordered by `(task.now(), seq)` — the
-/// deterministic step order. A member's key is only mutated while it is
-/// outside the heap (popped, step-batched, reinserted), so heap order
-/// stays consistent without a decrease-key operation.
+/// One gang member's task in flight. It stays in its node's slot from
+/// dispatch to completion; the engine's task heap orders it by the key
+/// `(task.now(), seq, node)`.
 struct ActiveTask {
     task: InFlightGemm,
     /// Global dispatch sequence number — the deterministic tiebreak for
@@ -264,32 +267,6 @@ struct ActiveTask {
     /// CPU epilogue time extending past the member's GEMM (the Fig. 5(c)
     /// non-overlappable tail, or the whole epilogue without overlap).
     epilogue_tail: SimDuration,
-}
-
-impl ActiveTask {
-    fn key(&self) -> (SimTime, u64) {
-        (self.task.now(), self.seq)
-    }
-}
-
-impl PartialEq for ActiveTask {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-
-impl Eq for ActiveTask {}
-
-impl PartialOrd for ActiveTask {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for ActiveTask {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.key().cmp(&other.key())
-    }
 }
 
 /// Per-job episode state.
@@ -374,9 +351,10 @@ pub struct EvictedJob {
 ///
 /// Internally the engine is the O(log n) event core described in the
 /// [module docs](crate::server): a pending-arrival heap, a single armed
-/// wake instant and an in-flight member heap, merged in
-/// arrival < wake < task-step order on equal times, plus the
-/// policy-ordered ready queue of admitted jobs.
+/// wake instant and a task heap of `(time, seq, node)` keys over per-node
+/// member slots, merged in arrival < wake < task-step order on equal
+/// times, plus the policy-ordered ready queue of admitted jobs. A member
+/// is stepped in its slot and never moves while in flight.
 ///
 /// ```
 /// use maco_core::system::{MacoSystem, SystemConfig};
@@ -418,8 +396,12 @@ pub struct Engine {
     pool: NodePool,
     queue: JobQueue,
     jobs: Vec<Job>,
-    /// In-flight gang members: min-heap on `(task.now(), dispatch seq)`.
-    active: BinaryHeap<Reverse<ActiveTask>>,
+    /// In-flight gang members, one slot per node: a gang holds its nodes
+    /// exclusively, so a node runs at most one member at a time.
+    tasks: Vec<Option<ActiveTask>>,
+    /// Step order of the in-flight members: min-heap on
+    /// `(task.now(), dispatch seq, node)`, one key per occupied slot.
+    active: BinaryHeap<Reverse<(SimTime, u64, usize)>>,
     served: Vec<u64>,
     stats: Vec<TenantReport>,
     leases: Vec<NodeLease>,
@@ -484,6 +466,7 @@ impl Engine {
             pool: NodePool::new(nodes),
             queue: JobQueue::new(config.policy, config.queue_capacity),
             jobs: Vec::new(),
+            tasks: (0..nodes).map(|_| None).collect(),
             active: BinaryHeap::new(),
             served: vec![0; tenants.len()],
             stats,
@@ -547,7 +530,7 @@ impl Engine {
     /// arrival, the armed scheduler wake-up and the minimum in-flight task
     /// step. `None` when the episode has fully drained.
     pub fn next_event(&self) -> Option<SimTime> {
-        let task = self.active.peek().map(|Reverse(a)| a.task.now());
+        let task = self.active.peek().map(|&Reverse((t, _, _))| t);
         let arrival = self.arrivals.peek().map(|Reverse(p)| p.at);
         [task, arrival, self.wake].into_iter().flatten().min()
     }
@@ -583,14 +566,14 @@ impl Engine {
         system: &mut MacoSystem,
         bound: Option<SimTime>,
     ) -> Result<Option<JobOutcome>, ServeError> {
-        let task_key = self.active.peek().map(|Reverse(a)| a.key());
+        let task_key = self.active.peek().map(|&Reverse(key)| key);
         let arrival = self.arrivals.peek().map(|Reverse(p)| p.at);
         let wake = self.wake;
         assert!(
             task_key.is_some() || arrival.is_some() || wake.is_some(),
             "advance called on a drained engine"
         );
-        let task_time = task_key.map(|(t, _)| t);
+        let task_time = task_key.map(|(t, _, _)| t);
         // Tie order is arrival, then wake, then task step, so admission
         // and scheduling state are current before any same-instant
         // stepping decision.
@@ -608,7 +591,7 @@ impl Engine {
             self.wake = None;
             self.try_schedule(system, at)?;
         } else {
-            let Reverse(mut entry) = self
+            let Reverse((_, _, node)) = self
                 .active
                 .pop()
                 .expect("no arrival or wake, so a task exists");
@@ -618,12 +601,15 @@ impl Engine {
             // by the next arrival, the wake and the external horizon. The
             // heap's new minimum is exactly the old linear scan's
             // runner-up.
-            let runner_up = self.active.peek().map(|Reverse(a)| a.key());
+            let runner_up = self.active.peek().map(|&Reverse(key)| key);
+            let entry = self.tasks[node]
+                .as_mut()
+                .expect("every task key names an occupied slot");
             let completed = loop {
                 if system.step_gemm(&mut entry.task)?.is_some() {
                     break true;
                 }
-                let key = (entry.task.now(), entry.seq);
+                let key = (entry.task.now(), entry.seq, node);
                 if arrival.is_some_and(|at| key.0 >= at)
                     || wake.is_some_and(|w| key.0 >= w)
                     || bound.is_some_and(|b| key.0 >= b)
@@ -633,9 +619,11 @@ impl Engine {
                 }
             };
             if completed {
-                return self.member_done(system, entry, bound);
+                let done = self.tasks[node].take().expect("stepped above");
+                return self.member_done(system, done, bound);
             }
-            self.active.push(Reverse(entry));
+            self.active
+                .push(Reverse((entry.task.now(), entry.seq, node)));
         }
         Ok(None)
     }
@@ -649,6 +637,7 @@ impl Engine {
     pub fn finish(self, system: &MacoSystem) -> ServeReport {
         debug_assert!(self.queue.is_empty(), "pending jobs at episode end");
         debug_assert!(self.active.is_empty());
+        debug_assert!(self.tasks.iter().all(Option::is_none));
         debug_assert!(self.arrivals.is_empty());
         let nodes = system.node_count();
         ServeReport {
@@ -696,6 +685,7 @@ impl Engine {
     /// completions leaping pending arrivals).
     pub fn evict_all(&mut self, now: SimTime) -> Vec<EvictedJob> {
         self.active.clear();
+        self.tasks.fill_with(|| None);
         self.wake = None;
         self.queue.clear();
         let mut evicted = Vec::new();
@@ -1003,14 +993,19 @@ impl Engine {
                 }
                 None => SimDuration::ZERO,
             };
-            self.active.push(Reverse(ActiveTask {
+            assert!(
+                self.tasks[node].is_none(),
+                "node {node} already runs a gang member"
+            );
+            self.active.push(Reverse((task.now(), self.seq, node)));
+            self.tasks[node] = Some(ActiveTask {
                 task,
                 seq: self.seq,
                 job: ji,
                 layer: self.jobs[ji].layer,
                 layer_start: at,
                 epilogue_tail,
-            }));
+            });
             self.seq += 1;
         }
         self.jobs[ji].members_left = parts;
@@ -1133,5 +1128,135 @@ impl Engine {
             finished_at: layer_end,
             flops,
         }))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use proptest::prelude::*;
+
+    use maco_core::gemm_plus::GemmPlusTask;
+    use maco_core::system::SystemConfig;
+    use maco_isa::Precision;
+
+    use super::*;
+
+    /// The heap holds exactly one key per occupied slot, equal to that
+    /// slot's `(task.now(), seq, node)` (so no key names an empty slot),
+    /// and its minimum — the key a task-step advance pops — is the
+    /// reference step order's: a linear scan for the minimum
+    /// `(task.now(), seq)` over the occupied slots.
+    fn check_key_heap(engine: &Engine) {
+        let mut slots: Vec<_> = engine
+            .tasks
+            .iter()
+            .enumerate()
+            .filter_map(|(node, slot)| slot.as_ref().map(|a| (a.task.now(), a.seq, node)))
+            .collect();
+        let reference = slots
+            .iter()
+            .copied()
+            .min_by_key(|&(now, seq, _)| (now, seq));
+        assert_eq!(
+            engine.active.peek().map(|&Reverse(key)| key),
+            reference,
+            "the heap minimum is not the reference minimum"
+        );
+        let mut keys: Vec<_> = engine.active.iter().map(|&Reverse(key)| key).collect();
+        keys.sort_unstable();
+        slots.sort_unstable();
+        assert_eq!(keys, slots, "task keys and occupied slots disagree");
+        for (node, slot) in engine.tasks.iter().enumerate() {
+            if let Some(a) = slot {
+                assert_eq!(a.task.node(), node, "a member sits in another node's slot");
+            }
+        }
+    }
+
+    /// Jobs from raw draws: a zero or one gap puts the arrival on the
+    /// previous job's instant (tie storms); up to three layers; gang
+    /// widths 1–4 (clamped to the machine).
+    fn episode_jobs(raw: &[(u8, u8, u8, u8, u8)]) -> Vec<JobSpec> {
+        let mut arrival = SimTime::ZERO;
+        raw.iter()
+            .map(|&(tenant, dim, layers, width, gap)| {
+                if gap >= 2 {
+                    arrival += SimDuration::from_ns(200 * u64::from(gap));
+                }
+                let d = 64 * (1 + u64::from(dim));
+                JobSpec {
+                    tenant: usize::from(tenant % 3),
+                    layers: (0..=u64::from(layers))
+                        .map(|i| GemmPlusTask::gemm(d, d + 64 * i, d, Precision::Fp32))
+                        .collect(),
+                    arrival,
+                    priority: tenant % 4,
+                    deadline: None,
+                    gang_width: 1 + usize::from(width),
+                }
+            })
+            .collect()
+    }
+
+    fn fresh_system(nodes: usize) -> MacoSystem {
+        let mut system = MacoSystem::new(SystemConfig {
+            nodes,
+            ..SystemConfig::default()
+        });
+        system.reset_shared_resources();
+        system
+    }
+
+    proptest! {
+        /// The key heap steps members in exactly the order a linear scan
+        /// over the slots picks, under random external bounds and a
+        /// mid-episode eviction whose remainders a fresh incarnation
+        /// serves (the cluster's fail-stop path).
+        #[test]
+        fn key_heap_matches_a_linear_scan_over_the_slots(
+            raw in proptest::collection::vec((0u8..6, 0u8..8, 0u8..3, 0u8..4, 0u8..5), 2..10),
+            nodes in 1usize..5,
+            policy in 0usize..3,
+            bounds in proptest::collection::vec(0u64..4_000, 1..16),
+            evict_after in 0usize..60,
+        ) {
+            let specs = episode_jobs(&raw);
+            let serial: u64 = specs.iter().map(JobSpec::flops).sum();
+            let tenants = Tenant::fleet(3);
+            let config = ServeConfig::with_policy(Policy::ALL[policy]);
+            let mut system = fresh_system(nodes);
+            let mut engine = Engine::new(nodes, &tenants, &config);
+            for spec in specs {
+                engine.push(spec);
+            }
+            let mut served = 0;
+            let mut advances = 0;
+            let mut evict_at = Some(evict_after);
+            while let Some(next) = engine.next_event() {
+                check_key_heap(&engine);
+                if evict_at == Some(advances) {
+                    evict_at = None;
+                    let evicted = engine.evict_all(next);
+                    check_key_heap(&engine);
+                    prop_assert!(engine.tasks.iter().all(Option::is_none));
+                    let old = std::mem::replace(&mut engine, Engine::new(nodes, &tenants, &config));
+                    served += old.finish(&system).total_flops;
+                    system = fresh_system(nodes);
+                    for job in evicted {
+                        engine.push(job.spec);
+                    }
+                    continue;
+                }
+                // Draws past 3 µs leave the advance unbounded.
+                let draw = bounds[advances % bounds.len()];
+                let bound = (draw < 3_000).then(|| next + SimDuration::from_ns(draw));
+                engine.advance(&mut system, bound).expect("episode serves");
+                advances += 1;
+            }
+            check_key_heap(&engine);
+            let report = engine.finish(&system);
+            prop_assert_eq!(report.jobs_rejected, 0);
+            prop_assert_eq!(served + report.total_flops, serial);
+        }
     }
 }

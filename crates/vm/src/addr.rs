@@ -27,11 +27,10 @@ pub const VA_BITS: u32 = 48;
 /// # Example
 ///
 /// ```
-/// use maco_vm::addr::{VirtAddr, PAGE_SIZE};
+/// use maco_vm::addr::VirtAddr;
 /// let va = VirtAddr::new(0x1234);
 /// assert_eq!(va.page_number(), 1);
 /// assert_eq!(va.page_offset(), 0x234);
-/// assert_eq!(va.page_base().raw(), PAGE_SIZE);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct VirtAddr(u64);
@@ -69,11 +68,6 @@ impl VirtAddr {
         self.0 & (PAGE_SIZE - 1)
     }
 
-    /// First address of the containing page.
-    pub const fn page_base(self) -> VirtAddr {
-        VirtAddr(self.0 & !(PAGE_SIZE - 1))
-    }
-
     /// Radix index at translation `level` (0 = root … 3 = leaf).
     ///
     /// # Panics
@@ -83,11 +77,6 @@ impl VirtAddr {
         assert!(level < WALK_LEVELS, "level {level} out of range");
         let shift = PAGE_SHIFT + LEVEL_BITS * (WALK_LEVELS - 1 - level) as u32;
         ((self.0 >> shift) & ((1 << LEVEL_BITS) - 1)) as usize
-    }
-
-    /// True if `self` and `other` share a page.
-    pub const fn same_page(self, other: VirtAddr) -> bool {
-        self.page_number() == other.page_number()
     }
 
     /// Number of distinct pages covered by `[self, self + bytes)`.
@@ -184,9 +173,6 @@ mod tests {
         let va = VirtAddr::new(0x12345);
         assert_eq!(va.page_number(), 0x12);
         assert_eq!(va.page_offset(), 0x345);
-        assert_eq!(va.page_base().raw(), 0x12000);
-        assert!(va.same_page(VirtAddr::new(0x12FFF)));
-        assert!(!va.same_page(VirtAddr::new(0x13000)));
     }
 
     #[test]

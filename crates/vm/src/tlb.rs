@@ -256,15 +256,6 @@ impl Tlb {
         }
     }
 
-    /// Drops everything.
-    pub fn flush(&mut self) {
-        self.index.clear();
-        self.slots.clear();
-        self.free.clear();
-        self.head = NIL;
-        self.tail = NIL;
-    }
-
     /// Cumulative hit count.
     pub fn hits(&self) -> u64 {
         self.hits
@@ -288,13 +279,6 @@ impl Tlb {
         } else {
             Some(self.hits as f64 / total as f64)
         }
-    }
-
-    /// Resets the statistics counters (not the contents).
-    pub fn reset_stats(&mut self) {
-        self.hits = 0;
-        self.misses = 0;
-        self.evictions = 0;
     }
 
     fn touch(&mut self, slot: u32) {
@@ -484,7 +468,6 @@ mod tests {
         for vpn in 0..8u64 {
             tlb.insert(asid(0), vpn, entry(vpn));
         }
-        tlb.reset_stats();
         for _ in 0..3 {
             for vpn in 0..8u64 {
                 assert!(tlb.lookup(asid(0), vpn).is_some());
@@ -504,18 +487,6 @@ mod tests {
         // The freed slot is reusable.
         tlb.insert(asid(3), 30, entry(3));
         assert_eq!(tlb.len(), 2);
-    }
-
-    #[test]
-    fn flush_empties() {
-        let mut tlb = Tlb::new(4);
-        tlb.insert(asid(0), 1, entry(1));
-        tlb.flush();
-        assert!(tlb.is_empty());
-        assert!(tlb.probe(asid(0), 1).is_none());
-        // Still usable after flush.
-        tlb.insert(asid(0), 2, entry(2));
-        assert_eq!(tlb.len(), 1);
     }
 
     #[test]
