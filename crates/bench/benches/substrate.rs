@@ -146,7 +146,7 @@ fn bench_translate_pass(c: &mut Criterion, name: &str, n: u64, precision: Precis
     let mmae = Mmae::new(MmaeConfig::default());
     let pass = block_passes(n, n, n, &mmae.config().tiling)[0];
     let mut stlb = Tlb::new(1024);
-    let mut walker = PageTableWalker::new(2);
+    let mut walker = PageTableWalker::new();
     let mut ctx = TranslationContext {
         asid: Asid::new(1),
         space: &space,
@@ -174,6 +174,19 @@ fn bench_system(c: &mut Criterion) {
             let mut sys = MacoSystem::new(SystemConfig::single_node());
             black_box(
                 sys.run_parallel_gemm(256, 256, 256, Precision::Fp64)
+                    .unwrap()
+                    .avg_efficiency(),
+            )
+        })
+    });
+    // The closed-loop event loop under load: 16 nodes in near lockstep,
+    // 256 tile steps each (4,096 in all), so the next-run selection runs
+    // about once per step.
+    c.bench_function("system/sixteen_node_gemm_1024", |bench| {
+        bench.iter(|| {
+            let mut sys = MacoSystem::new(SystemConfig::default());
+            black_box(
+                sys.run_parallel_gemm(1024, 1024, 1024, Precision::Fp64)
                     .unwrap()
                     .avg_efficiency(),
             )

@@ -13,6 +13,8 @@
 //! model: every runner, the serving layer, the fleet and the standalone
 //! [`ComputeNode`](crate::node::ComputeNode) price their tiles through it.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::fmt;
 
 use maco_cpu::core::CpuCore;
@@ -143,7 +145,7 @@ impl SystemConfig {
 }
 
 /// Per-node result of a system run.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeReport {
     /// Node index.
     pub node: usize,
@@ -648,87 +650,85 @@ impl MacoSystem {
     /// to nodes 0..tasks.len(), advanced tile-step by tile-step in global
     /// time order.
     fn run_tasks(&mut self, tasks: &[GemmParams]) -> Result<SystemReport, TranslateFault> {
+        let mut runs = self.begin_tasks(tasks);
+        let reports = self.step_in_time_order(&mut runs)?;
+        Ok(self.system_report(reports))
+    }
+
+    /// Resets the shared resources and begins one task per entry of
+    /// `tasks` on nodes 0..tasks.len(), all at time zero.
+    fn begin_tasks(&mut self, tasks: &[GemmParams]) -> Vec<InFlightGemm> {
         assert!(!tasks.is_empty());
-        let start = SimTime::ZERO;
         self.reset_shared_resources();
+        tasks
+            .iter()
+            .enumerate()
+            .map(|(i, params)| {
+                let asid = self.nodes[i].asid;
+                self.begin_gemm(i, asid, *params, SimTime::ZERO)
+                    .expect("fresh queues have room")
+            })
+            .collect()
+    }
 
-        let mut runs: Vec<InFlightGemm> = Vec::with_capacity(tasks.len());
-        for (i, params) in tasks.iter().enumerate() {
-            let asid = self.nodes[i].asid;
-            runs.push(
-                self.begin_gemm(i, asid, *params, start)
-                    .expect("fresh queues have room"),
-            );
-        }
-
-        // The event "heap": per-run next-event times, selected by linear
-        // scan. Runs number at most 16, so scanning beats a binary heap's
-        // sift traffic — and computing the runner-up during the same scan
-        // gives the batching bound below for free. Selection order is the
-        // heap's exactly: minimum `(time, node)`, a total order because
-        // node indices are unique.
-        let mut pending: Vec<Option<SimTime>> = runs.iter().map(|r| Some(r.now())).collect();
-        let mut remaining = pending.len();
-        let mut reports: Vec<Option<NodeReport>> = vec![None; tasks.len()];
-
-        while remaining > 0 {
-            let mut best: Option<(SimTime, usize)> = None;
-            let mut runner_up: Option<(SimTime, usize)> = None;
-            for (i, t) in pending.iter().enumerate() {
-                if let Some(t) = *t {
-                    let key = (t, i);
-                    if best.is_none_or(|b| key < b) {
-                        runner_up = best;
-                        best = Some(key);
-                    } else if runner_up.is_none_or(|r| key < r) {
-                        runner_up = Some(key);
-                    }
-                }
-            }
-            let (_, ni) = best.expect("remaining > 0");
-            // Batch contiguous steps of the selected run: as long as its
-            // clock stays at or below the runner-up event, the next
-            // selection would return it again, so advancing it inline is
-            // *exactly* the original select-advance-reselect sequence
-            // minus the scheduling traffic — simulated times are
-            // bit-identical. With one node (or nodes spread out in time)
-            // the scheduler runs once per whole phase instead of once per
-            // tile step.
-            let finished = loop {
-                match self.step_gemm(&mut runs[ni])? {
-                    Some(report) => break Some(report),
-                    None => {
-                        if let Some(r) = runner_up {
-                            if (runs[ni].now(), ni) > r {
-                                break None;
-                            }
-                        }
-                    }
-                }
-            };
-            match finished {
-                Some(report) => {
+    /// Steps every run to completion in minimum `(now, node)` order and
+    /// returns their reports by node.
+    ///
+    /// The event heap holds one `(next-event time, node)` key per
+    /// unfinished run. Node indices are unique, so the keys are totally
+    /// ordered and the pops follow the same sequence a linear min-scan
+    /// would; `event_loop_tests` checks this against that scan. With 16
+    /// nodes in near lockstep the popped run usually yields after one
+    /// step, so selection runs about once per tile step, and the heap's
+    /// pop and push cost less than rescanning every node for the minimum
+    /// and the runner-up.
+    fn step_in_time_order(
+        &mut self,
+        runs: &mut [InFlightGemm],
+    ) -> Result<Vec<NodeReport>, TranslateFault> {
+        let mut heap: BinaryHeap<Reverse<(SimTime, usize)>> = runs
+            .iter()
+            .enumerate()
+            .map(|(i, r)| Reverse((r.now(), i)))
+            .collect();
+        let mut reports: Vec<Option<NodeReport>> = vec![None; runs.len()];
+        while let Some(Reverse((_, ni))) = heap.pop() {
+            let runner_up = heap.peek().map(|&Reverse(key)| key);
+            // Batch contiguous steps of the popped run: as long as its
+            // clock stays at or below the runner-up key, the next pop
+            // would return it again, so advancing it inline is exactly
+            // the pop-step-push sequence minus the heap traffic. With one
+            // node (or nodes spread out in time) the heap is touched once
+            // per whole phase instead of once per tile step.
+            loop {
+                if let Some(report) = self.step_gemm(&mut runs[ni])? {
                     reports[ni] = Some(report);
-                    pending[ni] = None;
-                    remaining -= 1;
+                    break;
                 }
-                None => pending[ni] = Some(runs[ni].now()),
+                let key = (runs[ni].now(), ni);
+                if runner_up.is_some_and(|r| key > r) {
+                    heap.push(Reverse(key));
+                    break;
+                }
             }
         }
+        Ok(reports.into_iter().map(|r| r.expect("finished")).collect())
+    }
 
-        let nodes: Vec<NodeReport> = reports.into_iter().map(|r| r.expect("finished")).collect();
+    /// The [`SystemReport`] of one closed-loop episode.
+    fn system_report(&self, nodes: Vec<NodeReport>) -> SystemReport {
         let makespan = nodes
             .iter()
             .map(|n| n.elapsed)
             .max()
             .unwrap_or(SimDuration::ZERO);
-        Ok(SystemReport {
+        SystemReport {
             mean_link_utilization: self.fabric.mean_link_utilization(makespan),
             max_link_utilization: self.fabric.max_link_utilization(makespan),
             dram_bytes: self.dram.bytes(),
             nodes,
             makespan,
-        })
+        }
     }
 
     /// Advances one tile step of `run`; returns the final report when the
@@ -765,6 +765,8 @@ impl MacoSystem {
                     let bytes = next.rows * next.depth * e + next.depth * next.cols * e;
                     run.stash_ready = self.price_stash(run, bytes, run.now);
                 }
+            } else {
+                run.miss_fraction = self.unmapped_miss_fraction(&pass, run.params.elem_bytes());
             }
             let key = PassKey::of(&pass);
             let pass_tr = match run.memo.cached(key) {
@@ -842,8 +844,7 @@ impl MacoSystem {
             // missing portion refills from DRAM *through* the CCM — the
             // request still performs the directory lookup — so the step
             // pays DRAM + mesh on the miss share and then full CCM service.
-            let miss = self.unmapped_miss_fraction(pass, run.params.elem_bytes());
-            let dram_bytes = (plan.in_bytes as f64 * miss) as u64;
+            let dram_bytes = (plan.in_bytes as f64 * run.miss_fraction) as u64;
             let refill_done = if dram_bytes > 0 {
                 let addr = PhysAddr::new(FRAME_BASE + run.step_counter * 4096);
                 let d = self.dram.access_bulk(addr, dram_bytes, now);
@@ -1273,6 +1274,12 @@ impl std::error::Error for TaskAdmitError {}
 /// of these and interleave their steps in global `(now, tiebreak)` order —
 /// exactly the discipline the closed-loop runners use internally — so
 /// multi-job co-simulation on the shared resources stays deterministic.
+///
+/// A task holds an MTQ entry and an STQ slot on its node until its last
+/// step retires them. Dropping it unfinished leaves both behind: a later
+/// task on that node would retire the stale STQ entry instead of its own.
+/// Discard the machine instead, as the serving engine's fail-stop
+/// eviction (`maco_serve::Engine::evict_all`) requires.
 pub struct InFlightGemm {
     run: GemmRun,
     asid: Asid,
@@ -1327,6 +1334,9 @@ struct GemmRun {
     stash_ready: SimTime,
     step_stall: SimDuration,
     unmapped_stall: SimDuration,
+    /// Baseline-2's L3 miss fraction for the current pass (see
+    /// [`MacoSystem::unmapped_miss_fraction`]), set at pass entry.
+    miss_fraction: f64,
     first_step: bool,
     sa_busy: SimDuration,
     translation: StreamTranslation,
@@ -1382,6 +1392,7 @@ impl GemmRun {
             stash_ready: SimTime::ZERO,
             step_stall: SimDuration::ZERO,
             unmapped_stall: SimDuration::ZERO,
+            miss_fraction: 0.0,
             first_step: true,
             sa_busy: SimDuration::ZERO,
             translation: StreamTranslation::default(),
@@ -1589,6 +1600,29 @@ mod tests {
     }
 
     #[test]
+    fn unmapped_miss_fraction_follows_the_pass() {
+        let mut cfg = small_config(1);
+        cfg.stash_lock = false;
+        let mut sys = MacoSystem::new(cfg);
+        // 1500 rows and depth 1300 split into passes of four shapes.
+        let params = sys.map_gemm(1500, 200, 1300, Precision::Fp64).unwrap();
+        let asid = sys.node_asid(0);
+        let mut task = sys.begin_gemm(0, asid, params, SimTime::ZERO).unwrap();
+        let mut seen = std::collections::BTreeSet::new();
+        loop {
+            let pass = task.run.passes[task.run.pass_idx];
+            let done = sys.step_gemm(&mut task).unwrap().is_some();
+            let want = sys.unmapped_miss_fraction(&pass, params.elem_bytes());
+            assert_eq!(task.run.miss_fraction.to_bits(), want.to_bits());
+            seen.insert(want.to_bits());
+            if done {
+                break;
+            }
+        }
+        assert!(seen.len() > 1, "passes must differ in miss fraction");
+    }
+
+    #[test]
     fn mtq_cycle_completes_and_releases() {
         let mut sys = MacoSystem::new(small_config(2));
         sys.run_parallel_gemm(256, 256, 256, Precision::Fp64)
@@ -1784,5 +1818,7 @@ mod tests {
     }
 }
 
+#[cfg(test)]
+mod event_loop_tests;
 #[cfg(test)]
 mod pricing_tests;

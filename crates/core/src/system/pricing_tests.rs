@@ -260,8 +260,12 @@ proptest! {
                     let step_counter = rng.next_below(1_000);
                     let first_step = rng.next_below(2) == 0;
                     let step_stall = SimDuration::from_ps(rng.next_below(5_000));
+                    // Pass entry sets Baseline-2's miss fraction; the
+                    // reference recomputes it on every step.
+                    let miss_fraction = planned.unmapped_miss_fraction(&pass, params.elem_bytes());
                     let (run_a, run_b) = &mut runs[node];
                     for run in [&mut *run_a, &mut *run_b] {
+                        run.miss_fraction = miss_fraction;
                         run.now = now;
                         run.step_counter = step_counter;
                         run.slice = (step_counter as usize + node) % slices;

@@ -25,7 +25,7 @@ impl Mmu {
     pub fn new(config: &CpuConfig) -> Self {
         Mmu {
             stlb: Tlb::new(config.l2_tlb_entries),
-            walker: PageTableWalker::new(2),
+            walker: PageTableWalker::new(),
         }
     }
 

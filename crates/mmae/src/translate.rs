@@ -242,7 +242,7 @@ mod tests {
     fn without_prediction_cold_pages_stall() {
         let space = make_space(128);
         let mut stlb = Tlb::new(1024);
-        let mut walker = PageTableWalker::new(2);
+        let mut walker = PageTableWalker::new();
         let mut ctx = TranslationContext {
             asid: Asid::new(1),
             space: &space,
@@ -262,7 +262,7 @@ mod tests {
     fn without_prediction_warm_pages_hit_tlb() {
         let space = make_space(128);
         let mut stlb = Tlb::new(1024);
-        let mut walker = PageTableWalker::new(2);
+        let mut walker = PageTableWalker::new();
         let mut ctx = TranslationContext {
             asid: Asid::new(1),
             space: &space,
@@ -281,7 +281,7 @@ mod tests {
     fn with_prediction_no_stall_even_cold() {
         let space = make_space(128);
         let mut stlb = Tlb::new(1024);
-        let mut walker = PageTableWalker::new(2);
+        let mut walker = PageTableWalker::new();
         let mut ctx = TranslationContext {
             asid: Asid::new(1),
             space: &space,
@@ -305,7 +305,7 @@ mod tests {
         // buffer window never stalls and never reaches the walker.
         let space = make_space(256);
         let mut stlb = Tlb::new(1024);
-        let mut walker = PageTableWalker::new(2);
+        let mut walker = PageTableWalker::new();
         let mut ctx = TranslationContext {
             asid: Asid::new(1),
             space: &space,
@@ -326,7 +326,7 @@ mod tests {
     fn unmapped_page_faults() {
         let space = make_space(4); // only 4 pages mapped
         let mut stlb = Tlb::new(64);
-        let mut walker = PageTableWalker::new(2);
+        let mut walker = PageTableWalker::new();
         let mut ctx = TranslationContext {
             asid: Asid::new(1),
             space: &space,
@@ -344,7 +344,7 @@ mod tests {
     fn prefetch_fault_reported_before_stream() {
         let space = make_space(4);
         let mut stlb = Tlb::new(64);
-        let mut walker = PageTableWalker::new(2);
+        let mut walker = PageTableWalker::new();
         let mut ctx = TranslationContext {
             asid: Asid::new(1),
             space: &space,
@@ -362,7 +362,7 @@ mod tests {
         // repeated passes keep missing, exactly the n ≥ 1024 regime.
         let space = make_space(128);
         let mut stlb = Tlb::new(16);
-        let mut walker = PageTableWalker::new(2);
+        let mut walker = PageTableWalker::new();
         let mut ctx = TranslationContext {
             asid: Asid::new(1),
             space: &space,

@@ -683,6 +683,16 @@ impl Engine {
     /// served even if its simulated finish time lies past `now` (the
     /// event core processes completions atomically — same semantics as
     /// completions leaping pending arrivals).
+    ///
+    /// The machine this engine stepped must be discarded after an
+    /// eviction. In-flight members are dropped without retiring their
+    /// MTQ/STQ entries, so the nodes' task queues still hold them: an
+    /// engine that steps new work on the same [`MacoSystem`] finds the
+    /// stale entry at the head of the STQ (a debug build trips the MAID
+    /// check in the step's completion path). [`Engine::finish`] may
+    /// still read the old machine's counters. `maco-cluster` follows
+    /// this on fail-stop: it finishes the old engine, then replaces both
+    /// the engine and its `MacoSystem` with fresh ones.
     pub fn evict_all(&mut self, now: SimTime) -> Vec<EvictedJob> {
         self.active.clear();
         self.tasks.fill_with(|| None);

@@ -59,7 +59,6 @@ pub struct Tlb {
     slots: Vec<Slot>,
     head: u32, // MRU
     tail: u32, // LRU
-    free: Vec<u32>,
     hits: u64,
     misses: u64,
     evictions: u64,
@@ -79,7 +78,6 @@ impl Tlb {
             slots: Vec::with_capacity(capacity),
             head: NIL,
             tail: NIL,
-            free: Vec::new(),
             hits: 0,
             misses: 0,
             evictions: 0,
@@ -182,14 +180,6 @@ impl Tlb {
                 next: NIL,
             };
             victim
-        } else if let Some(slot) = self.free.pop() {
-            self.slots[slot as usize] = Slot {
-                key,
-                entry,
-                prev: NIL,
-                next: NIL,
-            };
-            slot
         } else {
             let slot = self.slots.len() as u32;
             self.slots.push(Slot {
@@ -205,7 +195,7 @@ impl Tlb {
     }
 
     /// Structural clone with every live entry retagged to `asid`,
-    /// preserving LRU order, slot layout, free list and statistics.
+    /// preserving LRU order, slot layout and statistics.
     ///
     /// This is a simulator fast-path primitive, not an architectural
     /// operation: when two engines have replayed identical translation
@@ -234,26 +224,6 @@ impl Tlb {
             slot = s.next;
             Some((Asid::new(s.key.0), s.key.1, s.entry))
         })
-    }
-
-    /// Drops every entry belonging to `asid` (TLB shoot-down on address
-    /// space teardown).
-    pub fn invalidate_asid(&mut self, asid: Asid) {
-        let keys: Vec<(u16, u64)> = self
-            .index
-            .keys()
-            .filter(|(a, _)| *a == asid.raw())
-            .copied()
-            .collect();
-        for key in keys {
-            if let Some(slot) = self.index.remove(&key) {
-                self.unlink(slot);
-                // Mark the slot dead by clearing its key; it is re-used only
-                // via the free path below.
-                self.slots[slot as usize].key = (u16::MAX, u64::MAX);
-                self.free.push(slot);
-            }
-        }
     }
 
     /// Cumulative hit count.
@@ -474,19 +444,6 @@ mod tests {
             }
         }
         assert_eq!(tlb.hit_rate(), Some(1.0));
-    }
-
-    #[test]
-    fn invalidate_asid_is_selective() {
-        let mut tlb = Tlb::new(8);
-        tlb.insert(asid(1), 10, entry(1));
-        tlb.insert(asid(2), 20, entry(2));
-        tlb.invalidate_asid(asid(1));
-        assert!(tlb.probe(asid(1), 10).is_none());
-        assert!(tlb.probe(asid(2), 20).is_some());
-        // The freed slot is reusable.
-        tlb.insert(asid(3), 30, entry(3));
-        assert_eq!(tlb.len(), 2);
     }
 
     #[test]

@@ -5,12 +5,7 @@
 //! level — so its latency is four serialised accesses through whatever part
 //! of the memory hierarchy holds the tables. [`PageTableWalker`] performs
 //! the functional walk against an [`AddressSpace`] and reports the concrete
-//! read addresses so the caller can price them; it also models a bounded
-//! number of in-flight walks, the queuing constraint that makes *demand*
-//! walks expensive when a DMA stream crosses many pages at once (Fig. 6,
-//! "without prediction").
-
-use maco_sim::{SimDuration, SimTime};
+//! read addresses so the caller can price them.
 
 use crate::addr::{PhysAddr, VirtAddr, WALK_LEVELS};
 use crate::page_table::{AddressSpace, PageFlags, TranslateFault};
@@ -26,13 +21,13 @@ pub struct WalkResult {
     pub reads: [PhysAddr; WALK_LEVELS],
 }
 
-/// A hardware page-table walker with bounded concurrency.
+/// A hardware page-table walker.
 ///
-/// The walker owns no memory; timing is composed by the caller, which maps
-/// each of [`WalkResult::reads`] to a memory-hierarchy latency. The
-/// convenience method [`PageTableWalker::walk_timed`] applies a fixed
-/// per-level latency (how the full-system model prices table reads that hit
-/// the L2/L3 caches) and serialises walks beyond the concurrency limit.
+/// The walker owns no memory and keeps no time; it counts walks and
+/// faults. Timing is composed by the caller, which maps each of
+/// [`WalkResult::reads`] to a memory-hierarchy latency (the full-system
+/// model charges a fixed per-level read latency,
+/// `SystemConfig::walk_read`).
 ///
 /// # Example
 ///
@@ -44,36 +39,23 @@ pub struct WalkResult {
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let mut space = AddressSpace::new();
 /// space.map(VirtAddr::new(0x5000), PhysAddr::new(0x9000), PageFlags::rw())?;
-/// let mut walker = PageTableWalker::new(2);
+/// let mut walker = PageTableWalker::new();
 /// let res = walker.walk(&space, VirtAddr::new(0x5010))?;
 /// assert_eq!(res.pa.raw(), 0x9010);
 /// assert_eq!(res.reads.len(), 4);
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PageTableWalker {
-    max_inflight: usize,
-    /// Completion times of in-flight walks (bounded by `max_inflight`).
-    inflight: Vec<SimTime>,
     walks: u64,
     faults: u64,
 }
 
 impl PageTableWalker {
-    /// Creates a walker able to overlap `max_inflight` walks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_inflight` is zero.
-    pub fn new(max_inflight: usize) -> Self {
-        assert!(max_inflight > 0, "walker needs at least one slot");
-        PageTableWalker {
-            max_inflight,
-            inflight: Vec::new(),
-            walks: 0,
-            faults: 0,
-        }
+    /// Creates a walker with zeroed counters.
+    pub fn new() -> Self {
+        PageTableWalker::default()
     }
 
     /// Functional walk: translate `va` through `space`.
@@ -121,46 +103,6 @@ impl PageTableWalker {
         }
     }
 
-    /// Timed walk: performs the functional walk and returns its completion
-    /// time given a fixed per-level read latency, respecting the walker's
-    /// concurrency limit (a walk issued while all slots are busy waits for
-    /// the earliest slot).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the [`TranslateFault`] raised by the radix walk.
-    pub fn walk_timed(
-        &mut self,
-        space: &AddressSpace,
-        va: VirtAddr,
-        now: SimTime,
-        per_level: SimDuration,
-    ) -> Result<(WalkResult, SimTime), TranslateFault> {
-        let result = self.walk(space, va);
-
-        // Reserve a walker slot.
-        self.inflight.retain(|&t| t > now);
-        let start = if self.inflight.len() < self.max_inflight {
-            now
-        } else {
-            // Wait for the earliest in-flight walk to retire.
-            let earliest = self
-                .inflight
-                .iter()
-                .copied()
-                .min()
-                .expect("inflight nonempty");
-            if let Some(pos) = self.inflight.iter().position(|&t| t == earliest) {
-                self.inflight.swap_remove(pos);
-            }
-            earliest
-        };
-        let done = start + per_level * WALK_LEVELS as u64;
-        self.inflight.push(done);
-
-        result.map(|r| (r, done))
-    }
-
     /// Total walks attempted.
     pub fn walks(&self) -> u64 {
         self.walks
@@ -171,9 +113,9 @@ impl PageTableWalker {
         self.faults
     }
 
-    /// Drops in-flight bookkeeping (between experiment repetitions).
+    /// Zeroes the walk and fault counters (between experiment
+    /// repetitions).
     pub fn reset(&mut self) {
-        self.inflight.clear();
         self.walks = 0;
         self.faults = 0;
     }
@@ -200,7 +142,7 @@ mod tests {
     #[test]
     fn functional_walk_translates() {
         let space = mapped_space();
-        let mut w = PageTableWalker::new(2);
+        let mut w = PageTableWalker::new();
         let r = w.walk(&space, VirtAddr::new(0x10_0040)).unwrap();
         assert_eq!(r.pa.raw(), 0x50_0040);
         assert!(r.flags.write);
@@ -209,92 +151,23 @@ mod tests {
     #[test]
     fn walk_faults_propagate() {
         let space = AddressSpace::new();
-        let mut w = PageTableWalker::new(2);
+        let mut w = PageTableWalker::new();
         assert!(w.walk(&space, VirtAddr::new(0x123000)).is_err());
-        let e = w.walk_timed(
-            &space,
-            VirtAddr::new(0x123000),
-            SimTime::ZERO,
-            SimDuration::from_ns(10),
-        );
-        assert!(e.is_err());
-        assert_eq!(w.faults(), 2, "both the plain and the timed walk faulted");
+        assert!(w.walk_frame(&space, VirtAddr::new(0x123000)).is_err());
+        assert_eq!(w.faults(), 2, "both the full and the leaf walk faulted");
         assert_eq!(w.walks(), 2);
-    }
-
-    #[test]
-    fn timed_walk_is_four_levels() {
-        let space = mapped_space();
-        let mut w = PageTableWalker::new(4);
-        let (_, done) = w
-            .walk_timed(
-                &space,
-                VirtAddr::new(0x10_0000),
-                SimTime::ZERO,
-                SimDuration::from_ns(25),
-            )
-            .unwrap();
-        assert_eq!(done, SimTime::from_ns(100), "4 dependent reads × 25 ns");
-    }
-
-    #[test]
-    fn concurrency_limit_serialises_excess_walks() {
-        let space = mapped_space();
-        let mut w = PageTableWalker::new(2);
-        let lat = SimDuration::from_ns(10);
-        let t0 = SimTime::ZERO;
-        let (_, d1) = w
-            .walk_timed(&space, VirtAddr::new(0x10_0000), t0, lat)
-            .unwrap();
-        let (_, d2) = w
-            .walk_timed(&space, VirtAddr::new(0x10_1000), t0, lat)
-            .unwrap();
-        // Third walk must wait for a slot.
-        let (_, d3) = w
-            .walk_timed(&space, VirtAddr::new(0x10_2000), t0, lat)
-            .unwrap();
-        assert_eq!(d1, SimTime::from_ns(40));
-        assert_eq!(d2, SimTime::from_ns(40));
-        assert_eq!(d3, SimTime::from_ns(80), "queued behind slot 1");
-    }
-
-    #[test]
-    fn slots_free_up_over_time() {
-        let space = mapped_space();
-        let mut w = PageTableWalker::new(1);
-        let lat = SimDuration::from_ns(10);
-        let (_, d1) = w
-            .walk_timed(&space, VirtAddr::new(0x10_0000), SimTime::ZERO, lat)
-            .unwrap();
-        // Issue well after the first walk retired: no queuing.
-        let later = d1 + SimDuration::from_ns(100);
-        let (_, d2) = w
-            .walk_timed(&space, VirtAddr::new(0x10_1000), later, lat)
-            .unwrap();
-        assert_eq!(d2, later + lat * 4);
     }
 
     #[test]
     fn reset_clears_state() {
         let space = mapped_space();
-        let mut w = PageTableWalker::new(1);
-        w.walk_timed(
-            &space,
-            VirtAddr::new(0x10_0000),
-            SimTime::ZERO,
-            SimDuration::from_ns(10),
-        )
-        .unwrap();
+        let mut w = PageTableWalker::new();
+        w.walk(&space, VirtAddr::new(0x10_0000)).unwrap();
+        assert!(w.walk(&space, VirtAddr::new(0x123000)).is_err());
         w.reset();
-        assert_eq!(w.walks(), 0);
-        let (_, d) = w
-            .walk_timed(
-                &space,
-                VirtAddr::new(0x10_0000),
-                SimTime::ZERO,
-                SimDuration::from_ns(10),
-            )
-            .unwrap();
-        assert_eq!(d, SimTime::from_ns(40));
+        assert_eq!((w.walks(), w.faults()), (0, 0));
+        let r = w.walk(&space, VirtAddr::new(0x10_0000)).unwrap();
+        assert_eq!(r.pa.raw(), 0x50_0000);
+        assert_eq!(w.walks(), 1);
     }
 }

@@ -134,7 +134,7 @@ proptest! {
             row_bytes,
             row_bytes + extra_stride,
         );
-        let mut reference_walker = PageTableWalker::new(2);
+        let mut reference_walker = PageTableWalker::new();
         let reference: Result<StreamTranslation, TranslateFault> = pattern
             .predicted_pages()
             .try_fold(0u64, |pages, page| {
@@ -146,7 +146,7 @@ proptest! {
                 ..StreamTranslation::default()
             });
         let mut stlb = Tlb::new(64);
-        let mut walker = PageTableWalker::new(2);
+        let mut walker = PageTableWalker::new();
         let mut ctx = TranslationContext {
             asid: Asid::new(1),
             space: &space,
