@@ -14,7 +14,10 @@
 //! event stream actually changed (the one just advanced, the ones just
 //! routed to); a popped cursor is valid iff it still equals its machine's
 //! [`Engine::next_event`], so stale entries cost one O(log n) discard
-//! instead of a per-step fleet scan. Machines
+//! instead of a per-step fleet scan. Once no fleet event is left, the
+//! machines drain on parallel threads and their completions are folded
+//! in the order the cursor heap would have produced (see
+//! [`Cluster::run_jobs`]). Machines
 //! share no simulated hardware, so advancing one machine never perturbs
 //! another; all cross-machine coupling flows through the interconnect
 //! cost model (migration transfers delay arrivals, k-split all-reduces
@@ -59,13 +62,14 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::thread;
 
 use maco_core::system::MacoSystem;
 use maco_noc::sfc::hilbert_order;
 use maco_noc::topology::MeshShape;
 use maco_serve::{validate_spec, Engine, JobOutcome, JobSpec, ServeReport, Tenant};
 use maco_sim::{FxHashMap, LatencyBandwidthResource, SimDuration, SimTime};
-use maco_telemetry::{Log2Histogram, TraceSink, ROUTER_TRACK, SCHED_ROW};
+use maco_telemetry::{Log2Histogram, TraceRecord, TraceSink, ROUTER_TRACK, SCHED_ROW};
 use maco_workloads::trace::TraceRequest;
 
 use crate::report::{
@@ -180,9 +184,21 @@ impl Cluster {
     /// `validate_capacity` for the bound), and an undersized machine is a
     /// clear, early panic naming the machine — never a lost job.
     ///
+    /// The episode runs in two phases. While a fault event, an unrouted
+    /// arrival or a re-placement is pending, one thread merges them with
+    /// every machine's events in global time order. Once none is left,
+    /// no machine can affect another, so each machine that still has an
+    /// event drains on its own scoped thread (the calling thread takes
+    /// one; a single busy machine spawns nothing). Completions and trace
+    /// records are then folded into the fleet state in the order the
+    /// serial merge would have processed them, so every fingerprint, job
+    /// record and trace record is the same as a one-thread run's.
+    ///
     /// # Errors
     ///
     /// Propagates [`ClusterError`]s from the per-machine co-simulations.
+    /// When several machines fail while draining, the error returned is
+    /// the one the serial merge would have reached first.
     ///
     /// # Panics
     ///
@@ -190,8 +206,20 @@ impl Cluster {
     /// routed backlog (naming the offending machine), when the
     /// [`crate::spec::FaultSpec`] or [`AutoscalerSpec`] is invalid for
     /// this fleet, or when every machine is dead with no scheduled
-    /// recovery while work is still pending.
-    pub fn run_jobs(&mut self, mut specs: Vec<JobSpec>) -> Result<ClusterReport, ClusterError> {
+    /// recovery while work is still pending. A panic on a draining
+    /// machine's thread is re-raised on the calling thread.
+    pub fn run_jobs(&mut self, specs: Vec<JobSpec>) -> Result<ClusterReport, ClusterError> {
+        self.run_episode(specs, drain)
+    }
+
+    /// [`Cluster::run_jobs`] with the drain phase passed in: [`drain`]
+    /// outside tests, the serial cursor-heap merge it replaced in the
+    /// differential tests.
+    fn run_episode(
+        &mut self,
+        mut specs: Vec<JobSpec>,
+        drain: DrainFn,
+    ) -> Result<ClusterReport, ClusterError> {
         specs.sort_by_key(|s| s.arrival);
         self.validate_capacity(&specs);
         self.spec.faults.validate(self.spec.machines.len());
@@ -242,11 +270,16 @@ impl Cluster {
         // step — and so a recovery scheduled at the instant a deferred
         // re-placement wakes is processed first (the deferral's
         // termination argument). With no faults and no re-placements this
-        // reduces exactly to the fault-free arrival-vs-machine merge.
+        // reduces exactly to the fault-free arrival-vs-machine merge. The
+        // merge ends when no fleet event is left; the machines then drain
+        // independently (see `drain`).
         loop {
             let fault = ep.faults.front().map(|f| f.at);
             let arrival = pending.front().map(|s| s.arrival);
             let reroute = ep.reroutes.peek().map(|Reverse(r)| r.at);
+            let Some(horizon) = [fault, arrival, reroute].into_iter().flatten().min() else {
+                break;
+            };
             let machine = loop {
                 match ep.cursors.peek() {
                     None => break None,
@@ -258,13 +291,13 @@ impl Cluster {
                     }
                 }
             };
-            let mt = machine.map(|(t, _)| t);
-            let le = |a: Option<SimTime>, b: Option<SimTime>| match (a, b) {
-                (Some(x), Some(y)) => x <= y,
-                (Some(_), None) => true,
-                (None, _) => false,
-            };
-            if fault.is_some() && le(fault, arrival) && le(fault, reroute) && le(fault, mt) {
+            if let Some((_, i)) = machine.filter(|&(t, _)| t < horizon) {
+                ep.cursors.pop();
+                if let Some(outcome) = engines[i].advance(&mut self.systems[i], Some(horizon))? {
+                    ep.complete(i, outcome);
+                }
+                ep.rekey(&engines[i], i);
+            } else if fault == Some(horizon) {
                 let ev = ep.faults.pop_front().expect("peeked above");
                 match ev.kind {
                     FaultEventKind::Fail(i) => ep.fail(
@@ -279,25 +312,17 @@ impl Cluster {
                     FaultEventKind::DegradeStart(d) => ep.degrade(d, true, ev.at),
                     FaultEventKind::DegradeEnd(d) => ep.degrade(d, false, ev.at),
                 }
-            } else if arrival.is_some() && le(arrival, reroute) && le(arrival, mt) {
+            } else if arrival == Some(horizon) {
                 let spec = pending.pop_front().expect("peeked above");
                 let index = cursor;
                 cursor += 1;
                 ep.route(&self.spec, &self.tenants, &mut engines, spec, index);
-            } else if reroute.is_some() && le(reroute, mt) {
-                let Reverse(r) = ep.reroutes.pop().expect("peeked above");
-                ep.replace(&self.spec, &mut engines, r);
-            } else if let Some((_, i)) = machine {
-                ep.cursors.pop();
-                let horizon = [fault, arrival, reroute].into_iter().flatten().min();
-                if let Some(outcome) = engines[i].advance(&mut self.systems[i], horizon)? {
-                    ep.complete(i, outcome);
-                }
-                ep.rekey(&engines[i], i);
             } else {
-                break;
+                let Reverse(r) = ep.reroutes.pop().expect("the horizon is a re-placement");
+                ep.replace(&self.spec, &mut engines, r);
             }
         }
+        drain(&mut ep, &mut engines, &mut self.systems)?;
         debug_assert!(ep.reductions.is_empty(), "unfinished reductions");
         debug_assert!(ep.reroutes.is_empty(), "unplaced re-routes");
 
@@ -456,6 +481,118 @@ impl Cluster {
             );
         }
     }
+}
+
+/// The drain phase of a fleet episode: runs every machine's remaining
+/// events to completion once no fleet event is left.
+type DrainFn = fn(&mut FleetEpisode, &mut [Engine], &mut [MacoSystem]) -> Result<(), ClusterError>;
+
+/// One advance of a draining machine that the fleet must see: it retired
+/// a job, recorded trace records or failed.
+struct Logged {
+    /// The running maximum of the machine's [`Engine::next_event`] over
+    /// its drain so far, this advance included. The serial merge pops
+    /// cursors in `(time, machine)` order; a cursor that fell below the
+    /// time its machine was last popped at would be the heap minimum and
+    /// pop at once, so in both cases the merge orders advances by
+    /// `(key, machine, advance)`.
+    key: SimTime,
+    machine: usize,
+    /// The advance's index within the machine's drain.
+    advance: u64,
+    records: Vec<TraceRecord>,
+    outcome: Result<Option<JobOutcome>, ClusterError>,
+}
+
+/// Runs machine `machine`'s engine to completion on `system` with no
+/// external horizon, taking the records of each advance out of `buffer`
+/// (the engine's sink). Stops after the first failing advance.
+fn drain_machine(
+    machine: usize,
+    engine: &mut Engine,
+    system: &mut MacoSystem,
+    buffer: &TraceSink,
+) -> Vec<Logged> {
+    let mut log = Vec::new();
+    let mut key = SimTime::ZERO;
+    let mut advance = 0;
+    while let Some(t) = engine.next_event() {
+        key = key.max(t);
+        let outcome = engine.advance(system, None);
+        let records = buffer.drain().map_or_else(Vec::new, |trace| trace.records);
+        let failed = outcome.is_err();
+        if !records.is_empty() || !matches!(outcome, Ok(None)) {
+            log.push(Logged {
+                key,
+                machine,
+                advance,
+                records,
+                outcome,
+            });
+        }
+        if failed {
+            break;
+        }
+        advance += 1;
+    }
+    log
+}
+
+/// The drain phase: with no fault event, arrival or re-placement left,
+/// [`FleetEpisode::complete`] only folds outcomes into router state and
+/// never pushes into an engine, so the machines are independent. Each
+/// busy machine drains on its own scoped thread into a private trace
+/// buffer (the calling thread drains the first itself). After the join,
+/// the logged advances are replayed in `(key, machine, advance)` order —
+/// records into the shared sink, then the completion — which is the
+/// order the serial cursor-heap merge processes them in. A failing
+/// advance ends the replay with its error; a panicking thread's panic is
+/// re-raised here.
+fn drain(
+    ep: &mut FleetEpisode,
+    engines: &mut [Engine],
+    systems: &mut [MacoSystem],
+) -> Result<(), ClusterError> {
+    let shared = ep.sink.clone();
+    let mut busy = engines
+        .iter_mut()
+        .zip(systems.iter_mut())
+        .enumerate()
+        .filter(|(_, (engine, _))| engine.next_event().is_some())
+        .map(|(i, (engine, system))| {
+            let buffer = shared.buffer();
+            engine.set_trace(buffer.clone(), i as u32);
+            (i, engine, system, buffer)
+        });
+    let mut log = thread::scope(|scope| {
+        let first = busy.next();
+        let spawned: Vec<_> = busy
+            .map(|(i, engine, system, buffer)| {
+                scope.spawn(move || drain_machine(i, engine, system, &buffer))
+            })
+            .collect();
+        let mut log = first.map_or_else(Vec::new, |(i, engine, system, buffer)| {
+            drain_machine(i, engine, system, &buffer)
+        });
+        for handle in spawned {
+            match handle.join() {
+                Ok(part) => log.extend(part),
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
+        }
+        log
+    });
+    for (i, engine) in engines.iter_mut().enumerate() {
+        engine.set_trace(shared.clone(), i as u32);
+    }
+    log.sort_unstable_by_key(|l| (l.key, l.machine, l.advance));
+    for l in log {
+        shared.replay(&l.records);
+        if let Some(outcome) = l.outcome? {
+            ep.complete(l.machine, outcome);
+        }
+    }
+    Ok(())
 }
 
 /// An unfinished data-parallel reduction barrier.
@@ -1483,6 +1620,9 @@ impl FleetEpisode {
         }
     }
 }
+
+#[cfg(test)]
+mod drain_tests;
 
 #[cfg(test)]
 mod tests {

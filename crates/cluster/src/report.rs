@@ -80,7 +80,7 @@ impl MachineReport {
 }
 
 /// The routing history of one submitted job.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobRecord {
     /// Position in the arrival-sorted submitted stream.
     pub index: usize,

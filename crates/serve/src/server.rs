@@ -347,7 +347,9 @@ pub struct EvictedJob {
 /// single global timeline (always advancing the engine with the minimum
 /// [`Engine::next_event`]). [`Server::run_jobs`] is exactly that loop over
 /// one machine, and produces bit-identical schedules to the pre-engine
-/// monolithic loop.
+/// monolithic loop. An engine is `Send` (its [`TraceSink`] included), so
+/// engines whose machines no longer interact can be advanced on separate
+/// threads, as `maco-cluster` does once no fleet event is left.
 ///
 /// Internally the engine is the O(log n) event core described in the
 /// [module docs](crate::server): a pending-arrival heap, a single armed

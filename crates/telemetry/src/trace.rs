@@ -4,20 +4,27 @@
 //! cloneable handle that is either *off* (a `None`; every call is an
 //! inlined no-op, so a disabled sink is zero-cost and the simulation is
 //! bit-identical to an uninstrumented build) or *on* (a shared ring-buffer
-//! [`Tracer`]). Records carry static interned names and are keyed by
-//! `(start, seq)`: `seq` is a global record counter, so the full stream
-//! reproduces the deterministic event-processing order even when several
-//! records share a timestamp — the same tie-law discipline as the event
-//! core's heaps.
+//! [`Tracer`] behind an `Arc<Mutex<_>>`, so an instrumented engine can be
+//! moved to another thread). Records carry static interned names and are
+//! keyed by `(start, seq)`: `seq` is a global record counter, so the full
+//! stream reproduces the deterministic event-processing order even when
+//! several records share a timestamp — the same tie-law discipline as the
+//! event core's heaps.
 //!
 //! The tracer folds every record into an order-sensitive **trace
 //! fingerprint** at record time (the same [`fold_fingerprint`] the
 //! schedule/fault gates use), so the fingerprint covers all records ever
 //! recorded even if the ring has dropped the oldest ones.
+//!
+//! A site that runs apart from the shared stream (a machine drained on its
+//! own thread) records into a private [`TraceSink::buffer`], hands the
+//! records over with [`TraceSink::drain`], and the owner of the shared
+//! sink [`TraceSink::replay`]s them in the order the serial run
+//! would have recorded them: replay re-sequences and re-folds each record,
+//! so the shared stream and its fingerprint are the serial run's.
 
-use std::cell::RefCell;
 use std::hash::Hasher;
-use std::rc::Rc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use maco_sim::{fold_fingerprint, FxHasher, SimDuration, SimTime};
 
@@ -132,10 +139,11 @@ impl Tracer {
 
 /// A cheap handle through which instrumentation sites record. Clones share
 /// one [`Tracer`], so one sink handed to a whole fleet yields a single
-/// globally-ordered record stream.
+/// globally-ordered record stream. The handle is `Send` and `Sync`; the
+/// tracer behind it is locked once per record.
 #[derive(Debug, Clone, Default)]
 pub struct TraceSink {
-    tracer: Option<Rc<RefCell<Tracer>>>,
+    tracer: Option<Arc<Mutex<Tracer>>>,
 }
 
 impl TraceSink {
@@ -155,8 +163,25 @@ impl TraceSink {
     /// so the fingerprint is capacity-independent.
     pub fn with_capacity(capacity: usize) -> Self {
         Self {
-            tracer: Some(Rc::new(RefCell::new(Tracer::with_capacity(capacity)))),
+            tracer: Some(Arc::new(Mutex::new(Tracer::with_capacity(capacity)))),
         }
+    }
+
+    /// A private, unbounded sink that is on iff `self` is: a site that
+    /// records apart from the shared stream buffers here, then hands its
+    /// records to [`TraceSink::replay`] on `self`.
+    pub fn buffer(&self) -> Self {
+        if self.is_on() {
+            Self::with_capacity(usize::MAX)
+        } else {
+            Self::off()
+        }
+    }
+
+    /// The tracer, locked. No tracer method panics part-way, so a lock
+    /// poisoned by a panicking holder still guards a whole tracer.
+    fn lock(tracer: &Mutex<Tracer>) -> MutexGuard<'_, Tracer> {
+        tracer.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// True when records will be retained.
@@ -177,7 +202,7 @@ impl TraceSink {
         tenant: u32,
     ) {
         if let Some(tracer) = &self.tracer {
-            tracer.borrow_mut().push(TraceRecord {
+            Self::lock(tracer).push(TraceRecord {
                 name,
                 track,
                 row,
@@ -205,7 +230,7 @@ impl TraceSink {
         tenant: u32,
     ) {
         if let Some(tracer) = &self.tracer {
-            tracer.borrow_mut().push(TraceRecord {
+            Self::lock(tracer).push(TraceRecord {
                 name,
                 track,
                 row,
@@ -218,24 +243,35 @@ impl TraceSink {
         }
     }
 
+    /// Re-records `records` in order, as if their sites had recorded them
+    /// here: each takes this sink's next `seq` and is folded into its
+    /// fingerprint. A no-op when the sink is off.
+    pub fn replay(&self, records: &[TraceRecord]) {
+        if let Some(tracer) = &self.tracer {
+            let mut tracer = Self::lock(tracer);
+            for &rec in records {
+                tracer.push(rec);
+            }
+        }
+    }
+
     /// The trace fingerprint so far (`None` when the sink is off).
     pub fn fingerprint(&self) -> Option<u64> {
-        self.tracer.as_ref().map(|t| t.borrow().fingerprint)
+        self.tracer.as_ref().map(|t| Self::lock(t).fingerprint)
     }
 
     /// Total records accepted so far (0 when the sink is off).
     pub fn recorded(&self) -> u64 {
-        self.tracer.as_ref().map_or(0, |t| t.borrow().recorded)
+        self.tracer.as_ref().map_or(0, |t| Self::lock(t).recorded)
     }
 
     /// Takes the accumulated trace out of the sink, leaving this handle
     /// (and every clone) recording into a fresh empty tracer of the same
     /// capacity. Returns `None` for a disabled sink.
     pub fn drain(&self) -> Option<Trace> {
-        let tracer = self.tracer.as_ref()?;
-        let capacity = tracer.borrow().capacity;
-        let done = tracer.replace(Tracer::with_capacity(capacity));
-        Some(done.into_trace())
+        let mut tracer = Self::lock(self.tracer.as_ref()?);
+        let fresh = Tracer::with_capacity(tracer.capacity);
+        Some(std::mem::replace(&mut *tracer, fresh).into_trace())
     }
 }
 
@@ -338,6 +374,47 @@ mod tests {
         b.instant("y", 0, 0, t(2), 2, 0);
         b.instant("x", 0, 0, t(1), 1, 0);
         assert_ne!(a.fingerprint(), b.fingerprint());
+    }
+
+    /// Records buffered in private sinks and replayed into a shared one
+    /// carry the `seq` values and fold the fingerprint that recording
+    /// them straight into the shared sink gives.
+    #[test]
+    fn replayed_buffers_match_direct_recording() {
+        let direct = TraceSink::on();
+        let shared = TraceSink::on();
+        let a = shared.buffer();
+        let b = shared.buffer();
+        assert!(a.is_on() && b.is_on());
+        direct.instant("router", ROUTER_TRACK, 0, t(1), 0, 0);
+        shared.instant("router", ROUTER_TRACK, 0, t(1), 0, 0);
+        for i in 0..3u64 {
+            direct.span("layer", 0, 1, t(10 * i), t(10 * i + 5), i, 1);
+            a.span("layer", 0, 1, t(10 * i), t(10 * i + 5), i, 1);
+        }
+        direct.instant("admit", 1, SCHED_ROW, t(2), 9, 2);
+        b.instant("admit", 1, SCHED_ROW, t(2), 9, 2);
+        // Private sinks number their own records from 0.
+        let from_a = a.drain().unwrap().records;
+        assert_eq!(from_a.last().map(|r| r.seq), Some(2));
+        assert_eq!(a.recorded(), 0, "drain leaves the buffer empty");
+        shared.replay(&from_a);
+        shared.replay(&b.drain().unwrap().records);
+        let want = direct.drain().unwrap();
+        let got = shared.drain().unwrap();
+        assert_eq!(got.records, want.records);
+        assert_eq!(got.fingerprint, want.fingerprint);
+        assert_eq!(got.recorded, want.recorded);
+        let seqs: Vec<u64> = got.records.iter().map(|r| r.seq).collect();
+        assert_eq!(seqs, [0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn buffer_of_an_off_sink_is_off() {
+        let buffer = TraceSink::off().buffer();
+        buffer.instant("x", 0, 0, t(1), 0, 0);
+        assert!(!buffer.is_on());
+        assert!(buffer.drain().is_none());
     }
 
     #[test]

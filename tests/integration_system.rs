@@ -4,12 +4,13 @@
 use maco::core::gemm_plus::GemmPlusTask;
 use maco::core::node::ComputeNode;
 use maco::core::runner::Maco;
-use maco::core::system::{MacoSystem, SystemConfig};
+use maco::core::system::{MacoSystem, NodeReport, SystemConfig};
 use maco::cpu::kernels::Kernel;
 use maco::isa::mtq::QueryOutcome;
 use maco::isa::params::GemmParams;
 use maco::isa::{Asid, ExceptionType, Precision};
 use maco::mmae::systolic::reference_gemm;
+use maco::mmae::translate::StreamTranslation;
 use maco::sim::{SimDuration, SimTime};
 
 /// The headline Fig. 6 property: predictive translation beats demand
@@ -180,5 +181,43 @@ fn precision_scales_throughput() {
     assert!(
         (2.5..4.5).contains(&ratio),
         "FP16 4-way SIMD should approach 4x FP64: {ratio}"
+    );
+}
+
+/// Pins a ragged, multi-pass Baseline-2 (`stash_lock = false`) run on two
+/// nodes: each node's GEMM splits into passes of several shapes, and
+/// Baseline-2 prices every pass's DRAM traffic by that pass's own L3 miss
+/// fraction. A model that priced all passes at the first pass's fraction
+/// moves the elapsed times.
+#[test]
+fn ragged_baseline2_run_is_pinned() {
+    let mut sys = MacoSystem::new(SystemConfig {
+        nodes: 2,
+        stash_lock: false,
+        ..SystemConfig::default()
+    });
+    let r = sys
+        .run_partitioned_gemm(&[(1500, 200, 1300), (700, 300, 900)], Precision::Fp64)
+        .expect("mapped");
+    let node = |node, elapsed_fs, flops, pages, dma_bytes| NodeReport {
+        node,
+        elapsed: SimDuration::from_fs(elapsed_fs),
+        flops,
+        peak_gflops: 80.0,
+        translation: StreamTranslation {
+            stall: SimDuration::ZERO,
+            pages,
+            matlb_hits: pages,
+            tlb_hits: 0,
+            demand_walks: 0,
+        },
+        dma_bytes,
+    };
+    assert_eq!(
+        r.nodes,
+        [
+            node(0, 14_210_334_571_580, 780_000_000, 77_880, 117_120_000),
+            node(1, 6_457_138_652_830, 378_000_000, 39_353, 52_320_000),
+        ]
     );
 }
