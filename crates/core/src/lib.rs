@@ -58,5 +58,5 @@ pub use node::ComputeNode;
 pub use physical::{PhysicalModel, UnitPhysical};
 pub use runner::{Maco, MacoBuilder};
 pub use system::{
-    InFlightGemm, MacoSystem, NodeReport, SystemConfig, SystemReport, TaskAdmitError,
+    InFlightGemm, MacoSystem, NodeReport, SystemConfig, SystemReport, TaskAdmitError, TaskHeap,
 };

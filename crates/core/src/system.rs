@@ -13,8 +13,6 @@
 //! model: every runner, the serving layer, the fleet and the standalone
 //! [`ComputeNode`](crate::node::ComputeNode) price their tiles through it.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::fmt;
 
 use maco_cpu::core::CpuCore;
@@ -36,6 +34,10 @@ use maco_noc::topology::NodeId;
 use maco_sim::{FxHashMap, LatencyBandwidthResource, SimDuration, SimTime, Stats};
 use maco_vm::page_table::{AddressSpace, PageFlags, TranslateFault};
 use maco_vm::{PhysAddr, VirtAddr, PAGE_SIZE};
+
+mod task_heap;
+
+pub use task_heap::TaskHeap;
 
 /// Full-system configuration.
 #[derive(Debug, Clone)]
@@ -178,7 +180,7 @@ impl NodeReport {
 }
 
 /// Whole-system result.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SystemReport {
     /// Per-node reports.
     pub nodes: Vec<NodeReport>,
@@ -630,6 +632,11 @@ impl MacoSystem {
     /// # Errors
     ///
     /// Propagates [`TranslateFault`]s (mapping failures).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shapes` is empty or has more entries than the machine
+    /// has nodes.
     pub fn run_partitioned_gemm(
         &mut self,
         shapes: &[(u64, u64, u64)],
@@ -646,19 +653,34 @@ impl MacoSystem {
         self.run_tasks(&params)
     }
 
-    /// The shared event loop: one GEMM task per entry of `tasks`, assigned
-    /// to nodes 0..tasks.len(), advanced tile-step by tile-step in global
-    /// time order.
+    /// The shared event loop: one GEMM task per entry of `tasks` on nodes
+    /// 0..tasks.len(), stepped through a [`TaskHeap`]. They go in in node
+    /// order, so `seq == node` and the order is minimum `(time, node)`.
     fn run_tasks(&mut self, tasks: &[GemmParams]) -> Result<SystemReport, TranslateFault> {
-        let mut runs = self.begin_tasks(tasks);
-        let reports = self.step_in_time_order(&mut runs)?;
-        Ok(self.system_report(reports))
+        let begun = self.begin_tasks(tasks);
+        let mut heap = TaskHeap::new(tasks.len());
+        let mut reports: Vec<Option<NodeReport>> = vec![None; tasks.len()];
+        for task in begun {
+            heap.insert(task, ());
+        }
+        while !heap.is_empty() {
+            if let Some((task, report, ())) = heap.step(self, None)? {
+                reports[task.node()] = Some(report);
+            }
+        }
+        // The reports outlive the run: collected after the heap is freed,
+        // they do not pin the middle of the tasks' freed memory.
+        drop(heap);
+        Ok(self.system_report(reports.iter().map(|r| r.expect("finished")).collect()))
     }
 
     /// Resets the shared resources and begins one task per entry of
     /// `tasks` on nodes 0..tasks.len(), all at time zero.
     fn begin_tasks(&mut self, tasks: &[GemmParams]) -> Vec<InFlightGemm> {
-        assert!(!tasks.is_empty());
+        assert!(
+            !tasks.is_empty(),
+            "a closed-loop run needs at least one task"
+        );
         self.reset_shared_resources();
         tasks
             .iter()
@@ -669,50 +691,6 @@ impl MacoSystem {
                     .expect("fresh queues have room")
             })
             .collect()
-    }
-
-    /// Steps every run to completion in minimum `(now, node)` order and
-    /// returns their reports by node.
-    ///
-    /// The event heap holds one `(next-event time, node)` key per
-    /// unfinished run. Node indices are unique, so the keys are totally
-    /// ordered and the pops follow the same sequence a linear min-scan
-    /// would; `event_loop_tests` checks this against that scan. With 16
-    /// nodes in near lockstep the popped run usually yields after one
-    /// step, so selection runs about once per tile step, and the heap's
-    /// pop and push cost less than rescanning every node for the minimum
-    /// and the runner-up.
-    fn step_in_time_order(
-        &mut self,
-        runs: &mut [InFlightGemm],
-    ) -> Result<Vec<NodeReport>, TranslateFault> {
-        let mut heap: BinaryHeap<Reverse<(SimTime, usize)>> = runs
-            .iter()
-            .enumerate()
-            .map(|(i, r)| Reverse((r.now(), i)))
-            .collect();
-        let mut reports: Vec<Option<NodeReport>> = vec![None; runs.len()];
-        while let Some(Reverse((_, ni))) = heap.pop() {
-            let runner_up = heap.peek().map(|&Reverse(key)| key);
-            // Batch contiguous steps of the popped run: as long as its
-            // clock stays at or below the runner-up key, the next pop
-            // would return it again, so advancing it inline is exactly
-            // the pop-step-push sequence minus the heap traffic. With one
-            // node (or nodes spread out in time) the heap is touched once
-            // per whole phase instead of once per tile step.
-            loop {
-                if let Some(report) = self.step_gemm(&mut runs[ni])? {
-                    reports[ni] = Some(report);
-                    break;
-                }
-                let key = (runs[ni].now(), ni);
-                if runner_up.is_some_and(|r| key > r) {
-                    heap.push(Reverse(key));
-                    break;
-                }
-            }
-        }
-        Ok(reports.into_iter().map(|r| r.expect("finished")).collect())
     }
 
     /// The [`SystemReport`] of one closed-loop episode.
@@ -1270,9 +1248,9 @@ impl fmt::Display for TaskAdmitError {
 impl std::error::Error for TaskAdmitError {}
 
 /// One GEMM task in flight on a node, begun via [`MacoSystem::begin_gemm`]
-/// and advanced by [`MacoSystem::step_gemm`]. External schedulers hold many
-/// of these and interleave their steps in global `(now, tiebreak)` order —
-/// exactly the discipline the closed-loop runners use internally — so
+/// and advanced by [`MacoSystem::step_gemm`]. Schedulers interleave many
+/// of these in global `(now, tiebreak)` order, most simply through a
+/// [`TaskHeap`] as the closed-loop runners and the serving engine do, so
 /// multi-job co-simulation on the shared resources stays deterministic.
 ///
 /// A task holds an MTQ entry and an STQ slot on its node until its last
@@ -1459,6 +1437,20 @@ mod tests {
         let mut config = small_config(1);
         config.ccm_fanout = 0;
         MacoSystem::new(config);
+    }
+
+    #[test]
+    #[should_panic(expected = "a closed-loop run needs at least one task")]
+    fn a_partitioned_run_without_shapes_is_rejected() {
+        let mut sys = MacoSystem::new(small_config(2));
+        let _ = sys.run_partitioned_gemm(&[], Precision::Fp32);
+    }
+
+    #[test]
+    #[should_panic(expected = "more partitions than nodes")]
+    fn a_partitioned_run_with_more_shapes_than_nodes_is_rejected() {
+        let mut sys = MacoSystem::new(small_config(2));
+        let _ = sys.run_partitioned_gemm(&[(64, 64, 64); 3], Precision::Fp32);
     }
 
     #[test]
@@ -1665,18 +1657,7 @@ mod tests {
             translation_mirror: false,
             ..demand
         });
-        let rm = f(&mut mirrored);
-        let rp = f(&mut plain);
-        assert_eq!(rm.len(), rp.len());
-        for (a, b) in rm.iter().zip(&rp) {
-            assert_eq!(a.makespan, b.makespan, "makespan must be bit-identical");
-            assert_eq!(a.dram_bytes, b.dram_bytes);
-            for (na, nb) in a.nodes.iter().zip(&b.nodes) {
-                assert_eq!(na.elapsed, nb.elapsed, "node {} elapsed", na.node);
-                assert_eq!(na.translation, nb.translation, "node {} counters", na.node);
-                assert_eq!(na.dma_bytes, nb.dma_bytes);
-            }
-        }
+        assert_eq!(f(&mut mirrored), f(&mut plain), "reports must be identical");
         for i in 0..nodes {
             // The transplanted MMU state must be indistinguishable: sTLB
             // counters, walker counters, and every entry in LRU order.

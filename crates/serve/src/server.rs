@@ -20,46 +20,31 @@
 //!
 //! # The event core
 //!
-//! The engine is an O(log n)-per-event priority structure. Its logical
-//! event key is `(SimTime, kind, seq)` where `kind` orders
-//! arrival < wake < task-step on equal times, realised as three sources
-//! merged by an explicit tie-break:
+//! Each event costs O(log n) in pending arrivals, queued jobs and
+//! in-flight members (plus O(tenants × widths) per FairShare pick), so
+//! 10⁵-request traces and deep backlogs stream with near-linear wall
+//! clock. Three sources merge under the tie order arrival < wake <
+//! task step on equal times:
 //!
 //! * **arrivals** — a binary min-heap keyed `(arrival, push ticket)`, so
-//!   equal arrival times pop in push order (exactly the order the old
-//!   sorted-insert `VecDeque` produced — which is why schedule
-//!   fingerprints survived the rebuild bit for bit);
-//! * **wake** — a single armed instant (at most one retry is ever
-//!   pending), kept as an `Option<SimTime>`;
-//! * **task steps** — a binary min-heap of `(task.now(), dispatch seq,
-//!   node)` keys over the in-flight gang members. A gang holds its nodes
-//!   exclusively, so each member lives in its node's slot and never moves
-//!   while in flight: the heap sifts 24-byte keys, and the due member is
-//!   stepped in place. A member's key only changes while it is *outside*
-//!   the heap (pop → step batch → reinsert), so no decrease-key operation
-//!   is needed and a plain binary heap suffices. `seq` is unique, so
-//!   `node` never decides the order.
+//!   equal arrival times pop in push order;
+//! * **wake** — a single armed retry instant;
+//! * **task steps** — the [`TaskHeap`] of in-flight gang members, the
+//!   same one the closed-loop runners use, stepped in batches bounded by
+//!   the next arrival, the wake and the caller's horizon.
 //!
-//! Admitted jobs wait in the **ready queue**, the policy-ordered
-//! [`JobQueue`]: ordered sets per gang-width class, keyed
-//! `(−priority, arrival, id)` under FIFO and `(flops, arrival, id)` under
-//! SJF, and per `(width, tenant)` keyed `(arrival, id)` under FairShare
-//! (see the [`crate::sched`] module docs). A scheduling attempt compares
-//! the heads of the width classes that fit the free nodes instead of
-//! scanning the backlog; admission and dispatch touch one set entry each,
-//! and eviction clears the queue in one pass.
-//!
-//! Per-event cost is therefore O(log n) in the number of pending arrivals,
-//! queued jobs and in-flight members (plus O(tenants × widths) per
-//! FairShare pick) — flat enough to stream 10⁵-request traces and deep
-//! backlogs with near-linear wall clock in trace length.
+//! Admitted jobs wait in the policy-ordered ready queue, [`JobQueue`]
+//! (see the [`crate::sched`] module docs): a scheduling attempt compares
+//! the heads of the gang-width classes that fit the free nodes instead
+//! of scanning the backlog. `docs/ARCHITECTURE.md`, "The event core",
+//! has the full design.
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
 use maco_core::gemm_plus::partition_shapes_into;
 use maco_core::group::NodePool;
-use maco_core::system::{InFlightGemm, MacoSystem, TaskAdmitError};
+use maco_core::system::{InFlightGemm, MacoSystem, TaskAdmitError, TaskHeap};
 use maco_core::TranslateFault;
 use maco_sim::time::FS_PER_NS;
 use maco_sim::{SimDuration, SimTime};
@@ -222,6 +207,11 @@ impl Server {
     }
 }
 
+/// The earlier of two optional instants: a compare, paid per engine event.
+fn earliest(a: Option<SimTime>, b: Option<SimTime>) -> Option<SimTime> {
+    a.zip(b).map(|(a, b)| a.min(b)).or(a).or(b)
+}
+
 /// One pushed-but-not-admitted arrival in the pending heap, ordered by
 /// `(arrival, ticket)` so equal arrival times pop in push order — the
 /// same stable order the pre-heap sorted-insert stream produced.
@@ -252,14 +242,8 @@ impl Ord for PendingArrival {
     }
 }
 
-/// One gang member's task in flight. It stays in its node's slot from
-/// dispatch to completion; the engine's task heap orders it by the key
-/// `(task.now(), seq, node)`.
-struct ActiveTask {
-    task: InFlightGemm,
-    /// Global dispatch sequence number — the deterministic tiebreak for
-    /// equal event times.
-    seq: u64,
+/// The engine's tag on a gang member's task in the [`TaskHeap`].
+struct Member {
     job: usize,
     layer: usize,
     /// When this layer was dispatched (folded into the fingerprint).
@@ -353,10 +337,9 @@ pub struct EvictedJob {
 ///
 /// Internally the engine is the O(log n) event core described in the
 /// [module docs](crate::server): a pending-arrival heap, a single armed
-/// wake instant and a task heap of `(time, seq, node)` keys over per-node
-/// member slots, merged in arrival < wake < task-step order on equal
-/// times, plus the policy-ordered ready queue of admitted jobs. A member
-/// is stepped in its slot and never moves while in flight.
+/// wake instant and a [`TaskHeap`] of the in-flight members, merged in
+/// arrival < wake < task-step order on equal times, plus the
+/// policy-ordered ready queue of admitted jobs.
 ///
 /// ```
 /// use maco_core::system::{MacoSystem, SystemConfig};
@@ -398,12 +381,8 @@ pub struct Engine {
     pool: NodePool,
     queue: JobQueue,
     jobs: Vec<Job>,
-    /// In-flight gang members, one slot per node: a gang holds its nodes
-    /// exclusively, so a node runs at most one member at a time.
-    tasks: Vec<Option<ActiveTask>>,
-    /// Step order of the in-flight members: min-heap on
-    /// `(task.now(), dispatch seq, node)`, one key per occupied slot.
-    active: BinaryHeap<Reverse<(SimTime, u64, usize)>>,
+    /// In-flight gang members, at most one per node.
+    tasks: TaskHeap<Member>,
     served: Vec<u64>,
     stats: Vec<TenantReport>,
     leases: Vec<NodeLease>,
@@ -414,7 +393,6 @@ pub struct Engine {
     /// Reusable gang-partition shape buffer (no per-layer allocation).
     shape_buf: Vec<(u64, u64, u64)>,
     fingerprint: u64,
-    seq: u64,
     last_finish: SimTime,
     jobs_completed: u64,
     jobs_rejected: u64,
@@ -468,15 +446,13 @@ impl Engine {
             pool: NodePool::new(nodes),
             queue: JobQueue::new(config.policy, config.queue_capacity),
             jobs: Vec::new(),
-            tasks: (0..nodes).map(|_| None).collect(),
-            active: BinaryHeap::new(),
+            tasks: TaskHeap::new(nodes),
             served: vec![0; tenants.len()],
             stats,
             leases: Vec::new(),
             wake: None,
             shape_buf: Vec::new(),
             fingerprint: 0,
-            seq: 0,
             last_finish: SimTime::ZERO,
             jobs_completed: 0,
             jobs_rejected: 0,
@@ -532,9 +508,8 @@ impl Engine {
     /// arrival, the armed scheduler wake-up and the minimum in-flight task
     /// step. `None` when the episode has fully drained.
     pub fn next_event(&self) -> Option<SimTime> {
-        let task = self.active.peek().map(|&Reverse((t, _, _))| t);
         let arrival = self.arrivals.peek().map(|Reverse(p)| p.at);
-        [task, arrival, self.wake].into_iter().flatten().min()
+        earliest(earliest(self.tasks.next_time(), arrival), self.wake)
     }
 
     /// Completed GEMM flops served so far (monotone over the episode).
@@ -568,64 +543,29 @@ impl Engine {
         system: &mut MacoSystem,
         bound: Option<SimTime>,
     ) -> Result<Option<JobOutcome>, ServeError> {
-        let task_key = self.active.peek().map(|&Reverse(key)| key);
+        let at = self
+            .next_event()
+            .expect("advance called on a drained engine");
         let arrival = self.arrivals.peek().map(|Reverse(p)| p.at);
         let wake = self.wake;
-        assert!(
-            task_key.is_some() || arrival.is_some() || wake.is_some(),
-            "advance called on a drained engine"
-        );
-        let task_time = task_key.map(|(t, _, _)| t);
         // Tie order is arrival, then wake, then task step, so admission
         // and scheduling state are current before any same-instant
         // stepping decision.
-        let arrival_first = arrival
-            .is_some_and(|at| task_time.is_none_or(|tt| at <= tt) && wake.is_none_or(|w| at <= w));
-        let wake_first = !arrival_first && wake.is_some_and(|w| task_time.is_none_or(|tt| w <= tt));
-        if arrival_first {
-            let Reverse(pending) = self.arrivals.pop().expect("arrival_first");
-            let at = pending.at;
+        if arrival == Some(at) {
+            let Reverse(pending) = self.arrivals.pop().expect("peeked above");
             self.arrival_floor = at;
             self.submit(pending.ticket, pending.spec);
             self.try_schedule(system, at)?;
-        } else if wake_first {
-            let at = wake.expect("wake_first implies a wake");
+        } else if wake == Some(at) {
             self.wake = None;
             self.try_schedule(system, at)?;
         } else {
-            let Reverse((_, _, node)) = self
-                .active
-                .pop()
-                .expect("no arrival or wake, so a task exists");
-            // Batch contiguous steps of the minimal task while it stays at
-            // or below every other event — the same exact-equivalence
-            // batching the closed-loop runner uses, bounded additionally
-            // by the next arrival, the wake and the external horizon. The
-            // heap's new minimum is exactly the old linear scan's
-            // runner-up.
-            let runner_up = self.active.peek().map(|&Reverse(key)| key);
-            let entry = self.tasks[node]
-                .as_mut()
-                .expect("every task key names an occupied slot");
-            let completed = loop {
-                if system.step_gemm(&mut entry.task)?.is_some() {
-                    break true;
-                }
-                let key = (entry.task.now(), entry.seq, node);
-                if arrival.is_some_and(|at| key.0 >= at)
-                    || wake.is_some_and(|w| key.0 >= w)
-                    || bound.is_some_and(|b| key.0 >= b)
-                    || runner_up.is_some_and(|r| key > r)
-                {
-                    break false;
-                }
-            };
-            if completed {
-                let done = self.tasks[node].take().expect("stepped above");
-                return self.member_done(system, done, bound);
+            // Batch steps of the minimal task up to the next arrival, the
+            // wake and the external horizon, so none of them is leapt.
+            let horizon = earliest(earliest(arrival, wake), bound);
+            if let Some((task, _, member)) = self.tasks.step(system, horizon)? {
+                return self.member_done(system, &task, member, bound);
             }
-            self.active
-                .push(Reverse((entry.task.now(), entry.seq, node)));
         }
         Ok(None)
     }
@@ -638,8 +578,7 @@ impl Engine {
     /// advanced until [`Engine::next_event`] returned `None`).
     pub fn finish(self, system: &MacoSystem) -> ServeReport {
         debug_assert!(self.queue.is_empty(), "pending jobs at episode end");
-        debug_assert!(self.active.is_empty());
-        debug_assert!(self.tasks.iter().all(Option::is_none));
+        debug_assert!(self.tasks.is_empty());
         debug_assert!(self.arrivals.is_empty());
         let nodes = system.node_count();
         ServeReport {
@@ -696,8 +635,7 @@ impl Engine {
     /// this on fail-stop: it finishes the old engine, then replaces both
     /// the engine and its `MacoSystem` with fresh ones.
     pub fn evict_all(&mut self, now: SimTime) -> Vec<EvictedJob> {
-        self.active.clear();
-        self.tasks.fill_with(|| None);
+        self.tasks.clear();
         self.wake = None;
         self.queue.clear();
         let mut evicted = Vec::new();
@@ -1005,20 +943,15 @@ impl Engine {
                 }
                 None => SimDuration::ZERO,
             };
-            assert!(
-                self.tasks[node].is_none(),
-                "node {node} already runs a gang member"
-            );
-            self.active.push(Reverse((task.now(), self.seq, node)));
-            self.tasks[node] = Some(ActiveTask {
+            self.tasks.insert(
                 task,
-                seq: self.seq,
-                job: ji,
-                layer: self.jobs[ji].layer,
-                layer_start: at,
-                epilogue_tail,
-            });
-            self.seq += 1;
+                Member {
+                    job: ji,
+                    layer: self.jobs[ji].layer,
+                    layer_start: at,
+                    epilogue_tail,
+                },
+            );
         }
         self.jobs[ji].members_left = parts;
         self.jobs[ji].layer_end = at;
@@ -1038,20 +971,22 @@ impl Engine {
         Ok(())
     }
 
-    /// Handles one gang member finishing its layer slice; returns the
-    /// retired job when this was the last member of its last layer.
+    /// Handles one gang member finishing its layer slice as `task`;
+    /// returns the retired job when this was the last member of its last
+    /// layer.
     fn member_done(
         &mut self,
         system: &mut MacoSystem,
-        done: ActiveTask,
+        task: &InFlightGemm,
+        done: Member,
         bound: Option<SimTime>,
     ) -> Result<Option<JobOutcome>, ServeError> {
-        let member_end = done.task.now() + done.epilogue_tail;
+        let member_end = task.now() + done.epilogue_tail;
         let ji = done.job;
         self.sink.span(
             "layer",
             self.track,
-            done.task.node() as u32,
+            task.node() as u32,
             done.layer_start,
             member_end,
             ji as u64,
@@ -1060,7 +995,7 @@ impl Engine {
         self.fingerprint = [
             self.jobs[ji].spec.tenant as u64,
             done.layer as u64,
-            done.task.node() as u64,
+            task.node() as u64,
             done.layer_start.as_fs(),
             member_end.as_fs(),
         ]
@@ -1140,135 +1075,5 @@ impl Engine {
             finished_at: layer_end,
             flops,
         }))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use proptest::prelude::*;
-
-    use maco_core::gemm_plus::GemmPlusTask;
-    use maco_core::system::SystemConfig;
-    use maco_isa::Precision;
-
-    use super::*;
-
-    /// The heap holds exactly one key per occupied slot, equal to that
-    /// slot's `(task.now(), seq, node)` (so no key names an empty slot),
-    /// and its minimum — the key a task-step advance pops — is the
-    /// reference step order's: a linear scan for the minimum
-    /// `(task.now(), seq)` over the occupied slots.
-    fn check_key_heap(engine: &Engine) {
-        let mut slots: Vec<_> = engine
-            .tasks
-            .iter()
-            .enumerate()
-            .filter_map(|(node, slot)| slot.as_ref().map(|a| (a.task.now(), a.seq, node)))
-            .collect();
-        let reference = slots
-            .iter()
-            .copied()
-            .min_by_key(|&(now, seq, _)| (now, seq));
-        assert_eq!(
-            engine.active.peek().map(|&Reverse(key)| key),
-            reference,
-            "the heap minimum is not the reference minimum"
-        );
-        let mut keys: Vec<_> = engine.active.iter().map(|&Reverse(key)| key).collect();
-        keys.sort_unstable();
-        slots.sort_unstable();
-        assert_eq!(keys, slots, "task keys and occupied slots disagree");
-        for (node, slot) in engine.tasks.iter().enumerate() {
-            if let Some(a) = slot {
-                assert_eq!(a.task.node(), node, "a member sits in another node's slot");
-            }
-        }
-    }
-
-    /// Jobs from raw draws: a zero or one gap puts the arrival on the
-    /// previous job's instant (tie storms); up to three layers; gang
-    /// widths 1–4 (clamped to the machine).
-    fn episode_jobs(raw: &[(u8, u8, u8, u8, u8)]) -> Vec<JobSpec> {
-        let mut arrival = SimTime::ZERO;
-        raw.iter()
-            .map(|&(tenant, dim, layers, width, gap)| {
-                if gap >= 2 {
-                    arrival += SimDuration::from_ns(200 * u64::from(gap));
-                }
-                let d = 64 * (1 + u64::from(dim));
-                JobSpec {
-                    tenant: usize::from(tenant % 3),
-                    layers: (0..=u64::from(layers))
-                        .map(|i| GemmPlusTask::gemm(d, d + 64 * i, d, Precision::Fp32))
-                        .collect(),
-                    arrival,
-                    priority: tenant % 4,
-                    deadline: None,
-                    gang_width: 1 + usize::from(width),
-                }
-            })
-            .collect()
-    }
-
-    fn fresh_system(nodes: usize) -> MacoSystem {
-        let mut system = MacoSystem::new(SystemConfig {
-            nodes,
-            ..SystemConfig::default()
-        });
-        system.reset_shared_resources();
-        system
-    }
-
-    proptest! {
-        /// The key heap steps members in exactly the order a linear scan
-        /// over the slots picks, under random external bounds and a
-        /// mid-episode eviction whose remainders a fresh incarnation
-        /// serves (the cluster's fail-stop path).
-        #[test]
-        fn key_heap_matches_a_linear_scan_over_the_slots(
-            raw in proptest::collection::vec((0u8..6, 0u8..8, 0u8..3, 0u8..4, 0u8..5), 2..10),
-            nodes in 1usize..5,
-            policy in 0usize..3,
-            bounds in proptest::collection::vec(0u64..4_000, 1..16),
-            evict_after in 0usize..60,
-        ) {
-            let specs = episode_jobs(&raw);
-            let serial: u64 = specs.iter().map(JobSpec::flops).sum();
-            let tenants = Tenant::fleet(3);
-            let config = ServeConfig::with_policy(Policy::ALL[policy]);
-            let mut system = fresh_system(nodes);
-            let mut engine = Engine::new(nodes, &tenants, &config);
-            for spec in specs {
-                engine.push(spec);
-            }
-            let mut served = 0;
-            let mut advances = 0;
-            let mut evict_at = Some(evict_after);
-            while let Some(next) = engine.next_event() {
-                check_key_heap(&engine);
-                if evict_at == Some(advances) {
-                    evict_at = None;
-                    let evicted = engine.evict_all(next);
-                    check_key_heap(&engine);
-                    prop_assert!(engine.tasks.iter().all(Option::is_none));
-                    let old = std::mem::replace(&mut engine, Engine::new(nodes, &tenants, &config));
-                    served += old.finish(&system).total_flops;
-                    system = fresh_system(nodes);
-                    for job in evicted {
-                        engine.push(job.spec);
-                    }
-                    continue;
-                }
-                // Draws past 3 µs leave the advance unbounded.
-                let draw = bounds[advances % bounds.len()];
-                let bound = (draw < 3_000).then(|| next + SimDuration::from_ns(draw));
-                engine.advance(&mut system, bound).expect("episode serves");
-                advances += 1;
-            }
-            check_key_heap(&engine);
-            let report = engine.finish(&system);
-            prop_assert_eq!(report.jobs_rejected, 0);
-            prop_assert_eq!(served + report.total_flops, serial);
-        }
     }
 }
