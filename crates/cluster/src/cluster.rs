@@ -68,6 +68,7 @@ use maco_core::system::MacoSystem;
 use maco_noc::sfc::hilbert_order;
 use maco_noc::topology::MeshShape;
 use maco_serve::{validate_spec, Engine, JobOutcome, JobSpec, ServeReport, Tenant};
+use maco_sim::time::earliest;
 use maco_sim::{FxHashMap, LatencyBandwidthResource, SimDuration, SimTime};
 use maco_telemetry::{Log2Histogram, TraceRecord, TraceSink, ROUTER_TRACK, SCHED_ROW};
 use maco_workloads::trace::TraceRequest;
@@ -277,7 +278,7 @@ impl Cluster {
             let fault = ep.faults.front().map(|f| f.at);
             let arrival = pending.front().map(|s| s.arrival);
             let reroute = ep.reroutes.peek().map(|Reverse(r)| r.at);
-            let Some(horizon) = [fault, arrival, reroute].into_iter().flatten().min() else {
+            let Some(horizon) = earliest(earliest(fault, arrival), reroute) else {
                 break;
             };
             let machine = loop {

@@ -9,7 +9,7 @@
 //! when it is full the submission is rejected up front rather than growing
 //! latency unboundedly.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::VecDeque;
 use std::fmt;
 
 use maco_core::gemm_plus::GemmPlusTask;
@@ -19,7 +19,7 @@ use maco_sim::{SimDuration, SimTime};
 use maco_workloads::dnn::EpilogueClass;
 use maco_workloads::trace::TraceRequest;
 
-use crate::sched::{Policy, ReadyKey};
+use crate::sched::Policy;
 
 /// One process sharing the serving machine.
 #[derive(Debug, Clone)]
@@ -208,20 +208,66 @@ pub struct QueuedJob {
 /// The bounded, policy-ordered ready queue of pending (admitted, not yet
 /// scheduled) jobs.
 ///
-/// Jobs sit in one ordered set per gang-width class (per width and tenant
-/// under [`Policy::FairShare`]), keyed as the [`crate::sched`] module docs
-/// describe, so [`JobQueue::pick`] returns the policy's best fitting job
-/// without scanning the backlog. Admission and removal are O(log n).
+/// Each gang-width class (each `(width, tenant)` under
+/// [`Policy::FairShare`]) keeps one FIFO of `(arrival, id)` entries per
+/// policy rank, as the [`crate::sched`] module docs describe, so
+/// [`JobQueue::pick`] reads one front per rank instead of scanning the
+/// backlog. Queued jobs sit in a slab indexed by id.
+///
+/// Ids must ascend at admission: each admitted id is greater than every
+/// id admitted before it, over the queue's whole life (the engine numbers
+/// jobs in admission order). In engine order, where arrivals are admitted
+/// in ascending `(arrival, id)` and picks remove FIFO fronts, admission,
+/// pick and removal cost O(1) in queue depth: O(log r) to find a rank's
+/// FIFO among the r ranks queued in a class, plus one front per rank per
+/// pick. An admission that arrives before a queued job of its rank and
+/// class, or a removal behind a FIFO's front, pays a binary-search insert
+/// or removal in that FIFO. The slab spans the oldest queued id to the
+/// newest, so a job left waiting keeps the slots of later ids that left.
 #[derive(Debug, Clone)]
 pub struct JobQueue {
     capacity: usize,
     policy: Policy,
-    /// Every queued job by id: the admission-order view and the index that
-    /// finds a job's set entry on removal.
-    jobs: BTreeMap<JobId, QueuedJob>,
-    /// `ready[width - 1][policy.lane(tenant)]`: the policy-ordered keys of
-    /// the queued jobs of that width (and tenant, under FairShare).
-    ready: Vec<Vec<BTreeSet<ReadyKey>>>,
+    /// `slots[i]` holds the queued job with id `base + i`, or `None` once
+    /// it left; trimmed from the front, so `slots[0]` is occupied unless
+    /// the queue is empty.
+    slots: VecDeque<Option<QueuedJob>>,
+    base: u64,
+    len: usize,
+    /// The smallest id the next admission may carry.
+    next_id: u64,
+    /// `ready[width - 1][policy.lane(tenant)]`: that class's non-empty
+    /// rank FIFOs, in ascending rank.
+    ready: Vec<Vec<Vec<RankFifo>>>,
+}
+
+/// The queued jobs of one policy rank within a class, in ascending
+/// `(arrival, id)` order.
+#[derive(Debug, Clone)]
+struct RankFifo {
+    rank: u64,
+    entries: VecDeque<(SimTime, JobId)>,
+}
+
+impl RankFifo {
+    fn insert(&mut self, entry: (SimTime, JobId)) {
+        if self.entries.back().is_none_or(|&last| last < entry) {
+            self.entries.push_back(entry);
+        } else {
+            let at = self.entries.partition_point(|&e| e < entry);
+            self.entries.insert(at, entry);
+        }
+    }
+
+    fn remove(&mut self, entry: (SimTime, JobId)) {
+        if self.entries.front() == Some(&entry) {
+            self.entries.pop_front();
+        } else {
+            let at = self.entries.partition_point(|&e| e < entry);
+            debug_assert_eq!(self.entries.get(at), Some(&entry));
+            self.entries.remove(at);
+        }
+    }
 }
 
 impl JobQueue {
@@ -236,7 +282,10 @@ impl JobQueue {
         JobQueue {
             capacity,
             policy,
-            jobs: BTreeMap::new(),
+            slots: VecDeque::new(),
+            base: 0,
+            len: 0,
+            next_id: 0,
             ready: Vec::new(),
         }
     }
@@ -249,26 +298,46 @@ impl JobQueue {
     ///
     /// # Panics
     ///
-    /// Panics on a zero gang width or an id already in the queue.
+    /// Panics on a zero gang width or an id not greater than every id
+    /// admitted before.
     pub fn admit(&mut self, job: QueuedJob) -> Result<(), AdmissionError> {
         assert!(job.width >= 1, "gangs have at least one member");
-        if self.jobs.len() == self.capacity {
+        if self.len == self.capacity {
             return Err(AdmissionError::QueueFull);
         }
         assert!(
-            self.jobs.insert(job.id, job).is_none(),
-            "{} is already queued",
-            job.id
+            job.id.0 >= self.next_id,
+            "{} admitted after job{}: ids must ascend",
+            job.id,
+            self.next_id - 1
         );
+        self.next_id = job.id.0 + 1;
+        if self.slots.is_empty() {
+            self.base = job.id.0;
+        }
+        // Ids skipped since the last admission leave empty slots.
+        self.slots.resize((job.id.0 - self.base) as usize, None);
+        self.slots.push_back(Some(job));
+        self.len += 1;
         if self.ready.len() < job.width {
             self.ready.resize_with(job.width, Vec::new);
         }
         let lanes = &mut self.ready[job.width - 1];
         let lane = self.policy.lane(job.tenant);
         if lanes.len() <= lane {
-            lanes.resize_with(lane + 1, BTreeSet::new);
+            lanes.resize_with(lane + 1, Vec::new);
         }
-        lanes[lane].insert(self.policy.key(&job));
+        let fifos = &mut lanes[lane];
+        let rank = self.policy.rank(&job);
+        let at = match fifos.binary_search_by_key(&rank, |f| f.rank) {
+            Ok(at) => at,
+            Err(at) => {
+                let entries = VecDeque::new();
+                fifos.insert(at, RankFifo { rank, entries });
+                at
+            }
+        };
+        fifos[at].insert((job.arrival, job.id));
         Ok(())
     }
 
@@ -296,16 +365,22 @@ impl JobQueue {
             .iter()
             .take(free)
             .flat_map(|lanes| lanes.iter().enumerate())
-            .filter_map(|(lane, set)| {
-                for key in set {
-                    if key.1 <= now {
-                        return Some((lane, key));
+            .filter_map(|(lane, fifos)| {
+                // A FIFO whose front has not arrived holds nothing that
+                // has; the first FIFO whose front has is the class head.
+                for fifo in fifos {
+                    let (arrival, id) = fifo.entries[0];
+                    if arrival <= now {
+                        return Some((lane, (fifo.rank, arrival, id)));
                     }
-                    early = Some(early.map_or(key.1, |e| e.min(key.1)));
+                    early = Some(early.map_or(arrival, |e| e.min(arrival)));
                 }
                 None
             })
-            .min_by(|&a, &b| self.policy.cmp_heads(a, b, served, weights))
+            .min_by(|a, b| {
+                self.policy
+                    .cmp_heads((a.0, &a.1), (b.0, &b.1), served, weights)
+            })
             .map(|(_, key)| key.2);
         (best, early)
     }
@@ -313,33 +388,76 @@ impl JobQueue {
     /// Removes a job that was scheduled (or cancelled); returns it, or
     /// `None` when it was not queued.
     pub fn remove(&mut self, id: JobId) -> Option<QueuedJob> {
-        let job = self.jobs.remove(&id)?;
-        self.ready[job.width - 1][self.policy.lane(job.tenant)].remove(&self.policy.key(&job));
+        let index = usize::try_from(id.0.checked_sub(self.base)?).ok()?;
+        let job = self.slots.get_mut(index)?.take()?;
+        self.len -= 1;
+        while self.slots.front().is_some_and(Option::is_none) {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+        let fifos = &mut self.ready[job.width - 1][self.policy.lane(job.tenant)];
+        let rank = self.policy.rank(&job);
+        let at = fifos
+            .binary_search_by_key(&rank, |f| f.rank)
+            .expect("a queued job's rank has a FIFO");
+        fifos[at].remove((job.arrival, job.id));
+        if fifos[at].entries.is_empty() {
+            fifos.remove(at);
+        }
         Some(job)
     }
 
-    /// Removes every queued job at once.
+    /// Removes every queued job at once. Later admissions still need ids
+    /// above every id admitted before.
     pub fn clear(&mut self) {
-        self.jobs.clear();
+        self.slots.clear();
+        self.len = 0;
         self.ready.clear();
     }
 
     /// Queued job ids in ascending order — admission order, as the engine
     /// numbers jobs when it admits them. `len()` is O(1).
     pub fn pending(&self) -> impl ExactSizeIterator<Item = JobId> + '_ {
-        self.jobs.keys().copied()
+        Pending {
+            slots: self.slots.iter(),
+            left: self.len,
+        }
     }
 
     /// Number of pending jobs.
     pub fn len(&self) -> usize {
-        self.jobs.len()
+        self.len
     }
 
     /// True when nothing is pending.
     pub fn is_empty(&self) -> bool {
-        self.jobs.is_empty()
+        self.len == 0
     }
 }
+
+/// [`JobQueue::pending`]: the occupied slots, counted down.
+struct Pending<'a> {
+    slots: std::collections::vec_deque::Iter<'a, Option<QueuedJob>>,
+    left: usize,
+}
+
+impl Iterator for Pending<'_> {
+    type Item = JobId;
+
+    fn next(&mut self) -> Option<JobId> {
+        let id = self
+            .slots
+            .find_map(|slot| slot.as_ref().map(|job| job.id))?;
+        self.left -= 1;
+        Some(id)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for Pending<'_> {}
 
 #[cfg(test)]
 mod tests {

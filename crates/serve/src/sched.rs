@@ -11,25 +11,35 @@
 //!
 //! # The ready queue
 //!
-//! Pending jobs wait in the policy-ordered [`JobQueue`]: one ordered set
-//! per gang-width class, so a pick never scans the backlog. Each policy
-//! keys its sets as follows (every key ends in the unique job id):
+//! Pending jobs wait in the policy-ordered [`JobQueue`]. Each gang-width
+//! class (each `(width, tenant)` under FairShare) keeps one FIFO of
+//! `(arrival, id)` entries per policy rank, the FIFOs in ascending rank:
 //!
-//! * [`Policy::Fifo`] — one set per width keyed `(−priority, arrival, id)`;
-//! * [`Policy::Sjf`] — one set per width keyed `(flops, arrival, id)`;
-//! * [`Policy::FairShare`] — one set per `(width, tenant)` keyed
-//!   `(arrival, id)`.
+//! * [`Policy::Fifo`] — one class per width, ranked by −priority;
+//! * [`Policy::Sjf`] — one class per width, ranked by flops;
+//! * [`Policy::FairShare`] — one class per `(width, tenant)`, all jobs at
+//!   rank 0.
 //!
-//! A pick compares the heads of the width classes that fit the free node
-//! count. A set's head is its first job that has arrived by the pick's
-//! instant: a completion that leaps ahead on the simulated clock admits
-//! the arrivals it passed, and those wait until their own arrival. FairShare first orders those heads by their tenant's
+//! A job's position is thus its `(rank, arrival, id)` key, unique by the
+//! id. A pick compares the heads of the classes that fit the free node
+//! count. A class's head is the front of its first FIFO whose front has
+//! arrived by the pick's instant: a completion that leaps ahead on the
+//! simulated clock admits the arrivals it passed, and those wait until
+//! their own arrival, but a FIFO whose front has not arrived holds
+//! nothing that has. FairShare first orders those heads by their tenant's
 //! `served / weight` (cross-multiplied, so the comparison stays in
-//! integers), then by `(arrival, id)`; that is O(tenants × widths) per
-//! pick. Admission and removal are O(log n) in queue depth. The pick is
-//! exactly the minimum of the policy's comparator over every fitting
-//! queued job — the linear scan the queue replaced, which the test tree
-//! keeps as the differential reference.
+//! integers), then by `(arrival, id)`.
+//!
+//! Ids ascend at admission, so queued jobs sit in a slab indexed by id.
+//! In engine order — jobs admitted in ascending `(arrival, id)`, picked
+//! jobs removed from their FIFO's front — admission and removal cost
+//! O(log r) to find the rank's FIFO among the r ranks queued in a class,
+//! and a pick reads one front per rank of every fitting class, so no
+//! queue operation grows with queue depth. An out-of-order admission or
+//! a removal behind a front is a binary-search insert or removal in one
+//! FIFO. The pick is exactly the minimum of the policy's comparator over
+//! every fitting queued job — the linear scan the queue replaced, which
+//! the test tree keeps as the differential reference.
 //!
 //! [`JobQueue`]: crate::JobQueue
 
@@ -51,8 +61,8 @@ pub enum Policy {
     FairShare,
 }
 
-/// A queued job's position within its ready-queue set: the policy's
-/// primary rank, then `(arrival, id)`. The unique id makes it total.
+/// A queued job's position within its class: the policy's rank, then
+/// `(arrival, id)`. The unique id makes it total.
 pub(crate) type ReadyKey = (u64, SimTime, JobId);
 
 impl Policy {
@@ -68,17 +78,16 @@ impl Policy {
         }
     }
 
-    /// `job`'s key within its ready-queue set.
-    pub(crate) fn key(self, job: &QueuedJob) -> ReadyKey {
-        let rank = match self {
+    /// `job`'s rank: the first field of its key, which picks its FIFO.
+    pub(crate) fn rank(self, job: &QueuedJob) -> u64 {
+        match self {
             Policy::Fifo => u64::from(u8::MAX - job.priority),
             Policy::Sjf => job.flops,
             Policy::FairShare => 0,
-        };
-        (rank, job.arrival, job.id)
+        }
     }
 
-    /// The set within a width class that holds `tenant`'s jobs: FairShare
+    /// The class within a width that holds `tenant`'s jobs: FairShare
     /// keeps one per tenant, the other policies share one.
     pub(crate) fn lane(self, tenant: usize) -> usize {
         match self {
@@ -87,7 +96,7 @@ impl Policy {
         }
     }
 
-    /// Orders two set heads: FairShare puts the tenant (lane) with less
+    /// Orders two class heads: FairShare puts the tenant (lane) with less
     /// `served / weight` first; then the keys decide.
     pub(crate) fn cmp_heads(
         self,

@@ -20,14 +20,16 @@
 //!
 //! # The event core
 //!
-//! Each event costs O(log n) in pending arrivals, queued jobs and
-//! in-flight members (plus O(tenants × widths) per FairShare pick), so
-//! 10⁵-request traces and deep backlogs stream with near-linear wall
-//! clock. Three sources merge under the tie order arrival < wake <
-//! task step on equal times:
+//! Each event costs O(log n) in in-flight members and O(1) in pending
+//! arrivals and queued jobs (plus one FIFO front per queued rank and
+//! width class per pick), so 10⁵-request traces and deep backlogs stream
+//! with near-linear wall clock. Three sources merge under the tie order
+//! arrival < wake < task step on equal times:
 //!
-//! * **arrivals** — a binary min-heap keyed `(arrival, push ticket)`, so
-//!   equal arrival times pop in push order;
+//! * **arrivals** — `(arrival, push ticket)` keys popped in key order, so
+//!   equal arrival times pop in push order: pushes in ascending key order
+//!   append to a deque, the rest wait in a min-heap (O(log n)); the specs
+//!   wait in a ticket-indexed deque;
 //! * **wake** — a single armed retry instant;
 //! * **task steps** — the [`TaskHeap`] of in-flight gang members, the
 //!   same one the closed-loop runners use, stepped in batches bounded by
@@ -35,18 +37,18 @@
 //!
 //! Admitted jobs wait in the policy-ordered ready queue, [`JobQueue`]
 //! (see the [`crate::sched`] module docs): a scheduling attempt compares
-//! the heads of the gang-width classes that fit the free nodes instead
-//! of scanning the backlog. `docs/ARCHITECTURE.md`, "The event core",
-//! has the full design.
+//! the FIFO fronts of the gang-width classes that fit the free nodes
+//! instead of scanning the backlog. `docs/ARCHITECTURE.md`, "The event
+//! core", has the full design.
 
-use std::cmp::{Ordering, Reverse};
-use std::collections::BinaryHeap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 use maco_core::gemm_plus::partition_shapes_into;
 use maco_core::group::NodePool;
 use maco_core::system::{InFlightGemm, MacoSystem, TaskAdmitError, TaskHeap};
 use maco_core::TranslateFault;
-use maco_sim::time::FS_PER_NS;
+use maco_sim::time::{earliest, FS_PER_NS};
 use maco_sim::{SimDuration, SimTime};
 use maco_telemetry::{Log2Histogram, TraceSink, SCHED_ROW};
 
@@ -207,41 +209,6 @@ impl Server {
     }
 }
 
-/// The earlier of two optional instants: a compare, paid per engine event.
-fn earliest(a: Option<SimTime>, b: Option<SimTime>) -> Option<SimTime> {
-    a.zip(b).map(|(a, b)| a.min(b)).or(a).or(b)
-}
-
-/// One pushed-but-not-admitted arrival in the pending heap, ordered by
-/// `(arrival, ticket)` so equal arrival times pop in push order — the
-/// same stable order the pre-heap sorted-insert stream produced.
-struct PendingArrival {
-    at: SimTime,
-    /// The push ticket (push sequence number).
-    ticket: u64,
-    spec: JobSpec,
-}
-
-impl PartialEq for PendingArrival {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.ticket == other.ticket
-    }
-}
-
-impl Eq for PendingArrival {}
-
-impl PartialOrd for PendingArrival {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for PendingArrival {
-    fn cmp(&self, other: &Self) -> Ordering {
-        (self.at, self.ticket).cmp(&(other.at, other.ticket))
-    }
-}
-
 /// The engine's tag on a gang member's task in the [`TaskHeap`].
 struct Member {
     job: usize,
@@ -335,8 +302,8 @@ pub struct EvictedJob {
 /// engines whose machines no longer interact can be advanced on separate
 /// threads, as `maco-cluster` does once no fleet event is left.
 ///
-/// Internally the engine is the O(log n) event core described in the
-/// [module docs](crate::server): a pending-arrival heap, a single armed
+/// Internally the engine is the event core described in the
+/// [module docs](crate::server): the pending-arrival keys, a single armed
 /// wake instant and a [`TaskHeap`] of the in-flight members, merged in
 /// arrival < wake < task-step order on equal times, plus the
 /// policy-ordered ready queue of admitted jobs.
@@ -369,11 +336,18 @@ pub struct EvictedJob {
 pub struct Engine {
     tenants: Vec<Tenant>,
     config: ServeConfig,
-    /// Pending job stream (not yet submitted): min-heap on
-    /// `(arrival, push ticket)`.
-    arrivals: BinaryHeap<Reverse<PendingArrival>>,
-    /// The next push ticket — also the stable tiebreak for equal arrivals.
-    next_ticket: u64,
+    /// Pending job stream (not yet submitted) as `(arrival, push ticket)`
+    /// keys, popped in key order; the ticket is the stable tiebreak for
+    /// equal arrivals. A push at or after the last key of `arrivals`
+    /// appends to it (every push, in engine order); the others wait in
+    /// the min-heap `late`.
+    arrivals: VecDeque<(SimTime, u64)>,
+    late: BinaryHeap<Reverse<(SimTime, u64)>>,
+    /// The pending specs by ticket: `specs[i]` is ticket `spec_base + i`'s,
+    /// `None` once admitted; trimmed from the front, so the next push
+    /// ticket is `spec_base + specs.len()`.
+    specs: VecDeque<Option<JobSpec>>,
+    spec_base: u64,
     /// Latest arrival time already admitted from the pending stream; the
     /// floor the [`Engine::push`] contract is checked against.
     arrival_floor: SimTime,
@@ -440,8 +414,10 @@ impl Engine {
             weights: tenants.iter().map(|t| t.weight).collect(),
             tenants: tenants.to_vec(),
             config: config.clone(),
-            arrivals: BinaryHeap::new(),
-            next_ticket: 0,
+            arrivals: VecDeque::new(),
+            late: BinaryHeap::new(),
+            specs: VecDeque::new(),
+            spec_base: 0,
             arrival_floor: SimTime::ZERO,
             pool: NodePool::new(nodes),
             queue: JobQueue::new(config.policy, config.queue_capacity),
@@ -494,21 +470,49 @@ impl Engine {
             spec.arrival.as_fs(),
             self.arrival_floor.as_fs(),
         );
-        let ticket = self.next_ticket;
-        self.arrivals.push(Reverse(PendingArrival {
-            at: spec.arrival,
-            ticket,
-            spec,
-        }));
-        self.next_ticket += 1;
+        let ticket = self.spec_base + self.specs.len() as u64;
+        let key = (spec.arrival, ticket);
+        if self.arrivals.back().is_none_or(|&last| last < key) {
+            self.arrivals.push_back(key);
+        } else {
+            self.late.push(Reverse(key));
+        }
+        self.specs.push_back(Some(spec));
         ticket
+    }
+
+    /// The next pending arrival's key.
+    fn next_arrival(&self) -> Option<(SimTime, u64)> {
+        let late = self.late.peek().map(|&Reverse(key)| key);
+        match (self.arrivals.front(), late) {
+            (Some(&key), Some(late)) => Some(key.min(late)),
+            (key, late) => key.copied().or(late),
+        }
+    }
+
+    /// Pops the next pending arrival: its time, ticket and spec.
+    fn pop_arrival(&mut self) -> Option<(SimTime, u64, JobSpec)> {
+        let (at, ticket) = self.next_arrival()?;
+        if self.arrivals.front() == Some(&(at, ticket)) {
+            self.arrivals.pop_front();
+        } else {
+            self.late.pop();
+        }
+        let spec = self.specs[(ticket - self.spec_base) as usize]
+            .take()
+            .expect("a ticket pops once");
+        while self.specs.front().is_some_and(Option::is_none) {
+            self.specs.pop_front();
+            self.spec_base += 1;
+        }
+        Some((at, ticket, spec))
     }
 
     /// The engine's next event time: the earliest of the next pending
     /// arrival, the armed scheduler wake-up and the minimum in-flight task
     /// step. `None` when the episode has fully drained.
     pub fn next_event(&self) -> Option<SimTime> {
-        let arrival = self.arrivals.peek().map(|Reverse(p)| p.at);
+        let arrival = self.next_arrival().map(|(at, _)| at);
         earliest(earliest(self.tasks.next_time(), arrival), self.wake)
     }
 
@@ -546,15 +550,15 @@ impl Engine {
         let at = self
             .next_event()
             .expect("advance called on a drained engine");
-        let arrival = self.arrivals.peek().map(|Reverse(p)| p.at);
+        let arrival = self.next_arrival().map(|(at, _)| at);
         let wake = self.wake;
         // Tie order is arrival, then wake, then task step, so admission
         // and scheduling state are current before any same-instant
         // stepping decision.
         if arrival == Some(at) {
-            let Reverse(pending) = self.arrivals.pop().expect("peeked above");
+            let (_, ticket, spec) = self.pop_arrival().expect("peeked above");
             self.arrival_floor = at;
-            self.submit(pending.ticket, pending.spec);
+            self.submit(ticket, spec);
             self.try_schedule(system, at)?;
         } else if wake == Some(at) {
             self.wake = None;
@@ -579,7 +583,7 @@ impl Engine {
     pub fn finish(self, system: &MacoSystem) -> ServeReport {
         debug_assert!(self.queue.is_empty(), "pending jobs at episode end");
         debug_assert!(self.tasks.is_empty());
-        debug_assert!(self.arrivals.is_empty());
+        debug_assert!(self.arrivals.is_empty() && self.late.is_empty());
         let nodes = system.node_count();
         ServeReport {
             policy: self.config.policy,
@@ -691,19 +695,19 @@ impl Engine {
             });
         }
         let mut next_id = self.jobs.len() as u64;
-        while let Some(Reverse(pending)) = self.arrivals.pop() {
+        while let Some((_, ticket, spec)) = self.pop_arrival() {
             self.sink.instant(
                 "job/evict",
                 self.track,
                 SCHED_ROW,
                 now,
                 next_id,
-                pending.spec.tenant as u32,
+                spec.tenant as u32,
             );
             evicted.push(EvictedJob {
                 id: JobId(next_id),
-                ticket: pending.ticket,
-                spec: pending.spec,
+                ticket,
+                spec,
                 completed_layers: 0,
                 was_running: false,
                 admitted: false,
@@ -836,11 +840,10 @@ impl Engine {
         bound: Option<SimTime>,
     ) -> Result<(), ServeError> {
         let cut = bound.map_or(upto, |b| upto.min(b));
-        while self.arrivals.peek().is_some_and(|Reverse(p)| p.at <= cut) {
-            let Reverse(pending) = self.arrivals.pop().expect("peeked above");
-            let at = pending.at;
+        while self.next_arrival().is_some_and(|(at, _)| at <= cut) {
+            let (at, ticket, spec) = self.pop_arrival().expect("peeked above");
             self.arrival_floor = at;
-            self.submit(pending.ticket, pending.spec);
+            self.submit(ticket, spec);
             self.try_schedule(system, at)?;
         }
         Ok(())
@@ -860,13 +863,8 @@ impl Engine {
                 // (their completions were processed ahead of `now` in
                 // event order), or on jobs admitted ahead of their arrival
                 // by such a completion: arm the retry wake-up.
-                if let Some(t) = [self.pool.next_free_after(now), early]
-                    .into_iter()
-                    .flatten()
-                    .min()
-                {
-                    self.wake = Some(self.wake.map_or(t, |w| w.min(t)));
-                }
+                let retry = earliest(self.pool.next_free_after(now), early);
+                self.wake = earliest(self.wake, retry);
                 return Ok(());
             };
             let queued = self.queue.remove(id).expect("picked from the queue");

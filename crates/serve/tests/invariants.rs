@@ -426,6 +426,102 @@ proptest! {
     }
 }
 
+proptest! {
+    /// The pending arrival stream pops in `(arrival, ticket)` order when
+    /// pushes interleave with `advance`, as the cluster drives an engine:
+    /// each round pushes arrivals at or after the current horizon in
+    /// shuffled time order (a migration-delayed job lands behind later
+    /// ones, never before the arrival floor), then advances every event
+    /// before the next horizon, bounded by it. An `evict_all` may cut
+    /// the episode at a round's horizon. Every job's admission rank (its
+    /// outcome's or eviction's id) and the order in which evicted pending
+    /// jobs come back both match a sort of the pushes by
+    /// `(arrival, ticket)`.
+    #[test]
+    fn interleaved_pushes_admit_and_evict_in_arrival_ticket_order(
+        // Per round: the step to the next horizon, then the pushes as
+        // `(offset / 250 ns, dim, tenant, width)`.
+        rounds in proptest::collection::vec(
+            (0u64..1_500, proptest::collection::vec((0u64..8, 0u64..3, 0u64..3, 1u64..3), 0..6)),
+            1..8,
+        ),
+        evict_round in 0usize..12,
+        nodes in 1usize..4,
+        policy in 0u64..3,
+    ) {
+        let tenants = Tenant::fleet(3);
+        let config = ServeConfig {
+            queue_capacity: 64,
+            ..ServeConfig::with_policy(policy_of(policy))
+        };
+        let mut system = small_system(nodes);
+        system.reset_shared_resources();
+        let mut engine = Engine::new(nodes, &tenants, &config);
+        // `(arrival, ticket)` of every push, and each ticket's admission
+        // rank once known.
+        let mut pushed: Vec<(SimTime, u64)> = Vec::new();
+        let mut rank: Vec<Option<u64>> = Vec::new();
+        let mut evicted_pending: Vec<u64> = Vec::new();
+        let mut horizon = SimTime::ZERO;
+        for (r, (step, pushes)) in rounds.iter().enumerate() {
+            for &(offset, dim, tenant, width) in pushes {
+                let d = 16 * (1 + dim);
+                // A coarse offset grid: tied arrivals fall to the ticket.
+                let arrival = horizon + SimDuration::from_ns(250 * offset);
+                let spec = JobSpec {
+                    gang_width: width as usize,
+                    ..JobSpec::single(
+                        tenant as usize,
+                        GemmPlusTask::gemm(d, d, d, Precision::Fp32),
+                        arrival,
+                    )
+                };
+                let ticket = engine.push(spec);
+                prop_assert_eq!(ticket, pushed.len() as u64);
+                pushed.push((arrival, ticket));
+                rank.push(None);
+            }
+            if r == evict_round {
+                for job in engine.evict_all(horizon) {
+                    rank[job.ticket as usize] = Some(job.id.0);
+                    if !job.admitted {
+                        evicted_pending.push(job.ticket);
+                    }
+                }
+                prop_assert_eq!(engine.next_event(), None, "eviction drains the engine");
+                break;
+            }
+            horizon += SimDuration::from_ns(*step);
+            while engine.next_event().is_some_and(|t| t < horizon) {
+                let outcome = engine.advance(&mut system, Some(horizon)).expect("episode serves");
+                if let Some(o) = outcome {
+                    rank[o.ticket as usize] = Some(o.job.0);
+                }
+            }
+        }
+        if evict_round >= rounds.len() {
+            while engine.next_event().is_some() {
+                if let Some(o) = engine.advance(&mut system, None).expect("episode serves") {
+                    rank[o.ticket as usize] = Some(o.job.0);
+                }
+            }
+        }
+        let mut order = pushed.clone();
+        order.sort();
+        let want: Vec<u64> = order.iter().map(|&(_, ticket)| ticket).collect();
+        let mut got: Vec<(u64, u64)> = rank
+            .iter()
+            .enumerate()
+            .map(|(ticket, id)| (id.expect("every push completes or is evicted"), ticket as u64))
+            .collect();
+        got.sort();
+        prop_assert_eq!(got.iter().map(|&(_, t)| t).collect::<Vec<_>>(), want.clone());
+        let pending_want: Vec<u64> =
+            want.into_iter().filter(|t| evicted_pending.contains(t)).collect();
+        prop_assert_eq!(evicted_pending, pending_want, "evicted pending order");
+    }
+}
+
 /// A drained engine reports no next event, and `finish` closes the
 /// episode cleanly — the composition layer's termination condition.
 #[test]

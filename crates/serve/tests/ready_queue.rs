@@ -1,19 +1,22 @@
-//! Differential test of the policy-ordered ready queue ([`JobQueue`])
+//! Differential tests of the policy-ordered ready queue ([`JobQueue`])
 //! against the linear scan it replaced.
 //!
 //! The reference below is the scheduler's original `select`: build one
 //! candidate per queued job and take the policy-minimal one that fits the
-//! free nodes and has arrived by the pick's instant. Random admit/pick/remove sequences drive the queue and the
-//! reference side by side, under every policy, and every pick must agree.
-//! The draws are tie storms on purpose — a handful of arrival instants,
-//! flop counts and priorities, and `served` kept on a lattice of the
-//! weights so fair-share ratios collide — so the `(arrival, id)` tie-breaks
-//! decide most picks.
+//! free nodes and has arrived by the pick's instant. Random
+//! admit/pick/remove sequences drive the queue and the reference side by
+//! side, under every policy, and every pick must agree. The draws are tie
+//! storms on purpose — a handful of arrival instants, flop counts and
+//! priorities, and `served` kept on a lattice of the weights so
+//! fair-share ratios collide — so the `(arrival, id)` tie-breaks decide
+//! most picks. Those sequences admit in random arrival order; a second
+//! test replays the engine's own order (ascending `(arrival, id)`, picks
+//! removed) on queues thousands deep.
 
 use proptest::prelude::*;
 
 use maco_serve::{JobId, JobQueue, Policy, QueuedJob};
-use maco_sim::{SimDuration, SimTime};
+use maco_sim::{SimDuration, SimTime, SplitMix64};
 
 /// The reference: the policy-minimal candidate whose gang width fits
 /// `free` (backfill) and that has arrived by `now`, by a full scan.
@@ -89,12 +92,8 @@ fn replay(policy: Policy, ops: &[Op], weights: &[u32]) {
                 let want = select(policy, &reference, free, now, &served, weights);
                 assert_eq!(got, want, "{policy:?} pick on {free} free nodes");
                 if got.is_none() {
-                    let first_unarrived = reference
-                        .iter()
-                        .filter(|j| j.width <= free && j.arrival > now)
-                        .map(|j| j.arrival)
-                        .min();
-                    assert_eq!(early, first_unarrived, "{policy:?} retry instant");
+                    let want = first_unarrived(&reference, free, now);
+                    assert_eq!(early, want, "{policy:?} retry instant");
                 }
                 if let Some(id) = got.filter(|_| kind != 7) {
                     assert_eq!(queue.remove(id).map(|j| j.id), Some(id));
@@ -173,4 +172,112 @@ fn deep_drain_matches_the_reference_order() {
             assert_eq!(queue.len(), reference.len());
         }
     }
+}
+
+/// The earliest arrival after `now` among the jobs fitting `free` nodes:
+/// the retry instant a pick that finds nothing must report.
+fn first_unarrived(candidates: &[QueuedJob], free: usize, now: SimTime) -> Option<SimTime> {
+    candidates
+        .iter()
+        .filter(|j| j.width <= free && j.arrival > now)
+        .map(|j| j.arrival)
+        .min()
+}
+
+/// The engine's order on a deep queue: jobs admitted in ascending
+/// `(arrival, id)` with tied arrivals, mixed priorities, flops, widths and
+/// tenants; picks at an instant up to 40 ns behind the newest arrival, so
+/// many FIFO fronts have not arrived yet, and one in eight behind most of
+/// the backlog; every pick removed from the queue. Each pick and, when
+/// nothing fits, its retry instant match the reference, while the queue
+/// stays at least 2,000 deep for most of the run.
+#[test]
+fn engine_order_picks_match_the_reference_on_deep_queues() {
+    const JOBS: u64 = 2_600;
+    let weights = [1, 3, 2, 1];
+    for policy in Policy::ALL {
+        for seed in 0..2 {
+            let mut rng = SplitMix64::new(seed);
+            let mut queue = JobQueue::new(policy, JOBS as usize);
+            let mut reference: Vec<QueuedJob> = Vec::new();
+            let mut served = [0u64; 4];
+            let mut arrival = SimTime::ZERO;
+            let (mut next_id, mut deepest, mut early_checks) = (0, 0, 0);
+            while next_id < JOBS || !reference.is_empty() {
+                // Fill to 2,000 deep first, then admit 0–2 jobs per pick.
+                let admits = if next_id < 2_000 {
+                    2_000
+                } else {
+                    rng.next_below(3)
+                };
+                for _ in 0..admits.min(JOBS - next_id) {
+                    arrival += SimDuration::from_ns(rng.next_below(3));
+                    let job = QueuedJob {
+                        id: JobId(next_id),
+                        tenant: rng.next_below(4) as usize,
+                        arrival,
+                        priority: rng.next_below(3) as u8,
+                        flops: 64 * (1 + rng.next_below(4)),
+                        width: 1 + rng.next_below(4) as usize,
+                    };
+                    queue.admit(job).unwrap();
+                    reference.push(job);
+                    next_id += 1;
+                }
+                deepest = deepest.max(reference.len());
+                // One pick in eight lags the whole backlog.
+                let lag = match rng.next_below(8) {
+                    _ if next_id == JOBS => 0,
+                    0 => rng.next_below(4_000),
+                    _ => rng.next_below(40),
+                };
+                let behind = arrival.since(SimTime::ZERO);
+                let now = SimTime::ZERO + behind.saturating_sub(SimDuration::from_ns(lag));
+                let free = rng.next_below(5) as usize;
+                let (got, early) = queue.pick(free, now, &served, &weights);
+                let want = select(policy, &reference, free, now, &served, &weights);
+                assert_eq!(
+                    got, want,
+                    "{policy:?} seed {seed}: pick on {free} free nodes"
+                );
+                match got {
+                    Some(id) => {
+                        let job = queue.remove(id).expect("picked jobs are queued");
+                        reference.retain(|j| j.id != id);
+                        served[job.tenant] += job.flops;
+                    }
+                    None => {
+                        let want = first_unarrived(&reference, free, now);
+                        assert_eq!(early, want, "{policy:?} seed {seed}: retry instant");
+                        early_checks += usize::from(want.is_some());
+                    }
+                }
+                assert_eq!(queue.len(), reference.len());
+            }
+            assert!(deepest >= 2_000, "{policy:?}: only {deepest} deep");
+            assert!(
+                early_checks > 0,
+                "{policy:?}: no pick found only unarrived jobs"
+            );
+            assert!(queue.is_empty() && queue.pending().len() == 0);
+        }
+    }
+}
+
+/// Ids must ascend at admission: the queue indexes jobs by id, and the
+/// engine numbers them in admission order.
+#[test]
+#[should_panic(expected = "ids must ascend")]
+fn a_descending_id_admission_panics() {
+    let job = |id| QueuedJob {
+        id: JobId(id),
+        tenant: 0,
+        arrival: SimTime::ZERO,
+        priority: 0,
+        flops: 1,
+        width: 1,
+    };
+    let mut queue = JobQueue::new(Policy::Fifo, 4);
+    queue.admit(job(5)).unwrap();
+    let _ = queue.admit(job(3));
 }

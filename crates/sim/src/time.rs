@@ -120,6 +120,12 @@ impl SimTime {
     }
 }
 
+/// The earlier of two optional instants (`None` is "no event"): one
+/// compare, where an event loop pays per event.
+pub fn earliest(a: Option<SimTime>, b: Option<SimTime>) -> Option<SimTime> {
+    a.zip(b).map(|(a, b)| a.min(b)).or(a).or(b)
+}
+
 impl SimDuration {
     /// A zero-length duration.
     pub const ZERO: SimDuration = SimDuration(0);
