@@ -20,14 +20,14 @@ use crate::gemm_plus::partition_shapes_into;
 /// A deterministic allocator over a machine's compute nodes.
 ///
 /// Allocation is lowest-index-first and all-or-nothing (gang semantics):
-/// a request for `width` nodes either returns exactly `width` node indices
-/// or nothing. The pool is **time-aware**: a released node carries the
-/// simulated time it became free, and an allocation at time `now` only
-/// considers nodes already free *by* `now`. Discrete-event schedulers need
-/// this because completions are processed in event order, not timestamp
-/// order — a completion at a late simulated time can be processed before
-/// one at an earlier time, and its freed nodes must not serve dispatches
-/// timestamped in their busy past.
+/// a request for `width` nodes either hands out exactly `width` node
+/// indices or takes nothing. The pool is **time-aware**: a released node
+/// carries the simulated time it became free, and an allocation at time
+/// `now` only considers nodes already free *by* `now`. Discrete-event
+/// schedulers need this because completions are processed in event
+/// order, not timestamp order — a completion at a late simulated time can
+/// be processed before one at an earlier time, and its freed nodes must
+/// not serve dispatches timestamped in their busy past.
 ///
 /// ```
 /// use maco_core::group::NodePool;
@@ -35,10 +35,13 @@ use crate::gemm_plus::partition_shapes_into;
 ///
 /// let t = |ns| SimTime::ZERO + SimDuration::from_ns(ns);
 /// let mut pool = NodePool::new(4);
-/// let a = pool.allocate(3, t(0)).unwrap();
+/// let mut a = Vec::new();
+/// assert!(pool.allocate(3, t(0), |node| a.push(node)));
 /// assert_eq!(a, vec![0, 1, 2]);
-/// assert!(pool.allocate(2, t(10)).is_none(), "only one node left");
-/// pool.release(&a, t(100));
+/// assert!(!pool.allocate(2, t(10), |_| {}), "only one node left");
+/// for node in a {
+///     pool.release(node, t(100));
+/// }
 /// assert_eq!(pool.free_count(t(50)), 1, "released nodes free only from t=100");
 /// assert_eq!(pool.free_count(t(100)), 4);
 /// ```
@@ -74,28 +77,29 @@ impl NodePool {
             .count()
     }
 
-    /// Allocates the `width` lowest-indexed nodes free at `now`, or `None`
-    /// if fewer than `width` qualify (gang all-or-nothing).
+    /// Allocates the `width` lowest-indexed nodes free at `now`, handing
+    /// each to `each` in ascending order, or takes nothing and returns
+    /// `false` if fewer than `width` qualify (gang all-or-nothing). The
+    /// caller keeps the gang wherever it already records it, so nothing
+    /// is allocated here.
     ///
     /// # Panics
     ///
     /// Panics if `width` is zero.
-    pub fn allocate(&mut self, width: usize, now: SimTime) -> Option<Vec<usize>> {
+    pub fn allocate(&mut self, width: usize, now: SimTime, mut each: impl FnMut(usize)) -> bool {
         assert!(width >= 1, "groups have at least one member");
         if self.free_count(now) < width {
-            return None;
+            return false;
         }
-        let mut group = Vec::with_capacity(width);
-        for (i, f) in self.free_at.iter_mut().enumerate() {
-            if f.is_some_and(|t| t <= now) {
-                *f = None;
-                group.push(i);
-                if group.len() == width {
-                    break;
-                }
-            }
+        let free = self.free_at.iter_mut().enumerate();
+        for (i, f) in free
+            .filter(|(_, f)| f.is_some_and(|t| t <= now))
+            .take(width)
+        {
+            *f = None;
+            each(i);
         }
-        Some(group)
+        true
     }
 
     /// The earliest time strictly after `now` at which some currently
@@ -108,17 +112,15 @@ impl NodePool {
             .min()
     }
 
-    /// Returns a group's nodes to the pool, free from `at` on.
+    /// Returns a leased node to the pool, free from `at` on.
     ///
     /// # Panics
     ///
-    /// Panics on double release or out-of-range indices — both scheduler
+    /// Panics on double release or an out-of-range index — both scheduler
     /// bugs worth failing loudly on.
-    pub fn release(&mut self, group: &[usize], at: SimTime) {
-        for &n in group {
-            assert!(self.free_at[n].is_none(), "node {n} released twice");
-            self.free_at[n] = Some(at);
-        }
+    pub fn release(&mut self, node: usize, at: SimTime) {
+        assert!(self.free_at[node].is_none(), "node {node} released twice");
+        self.free_at[node] = Some(at);
     }
 }
 
@@ -148,48 +150,61 @@ mod tests {
         SimTime::ZERO + SimDuration::from_ns(ns)
     }
 
+    /// The gang [`NodePool::allocate`] hands out, collected.
+    fn allocate(pool: &mut NodePool, width: usize, now: SimTime) -> Option<Vec<usize>> {
+        let mut group = Vec::new();
+        pool.allocate(width, now, |node| group.push(node))
+            .then_some(group)
+    }
+
+    fn release(pool: &mut NodePool, group: &[usize], at: SimTime) {
+        for &node in group {
+            pool.release(node, at);
+        }
+    }
+
     #[test]
     fn allocation_is_lowest_index_first_and_gang() {
         let mut pool = NodePool::new(6);
-        let a = pool.allocate(2, t(0)).unwrap();
-        let b = pool.allocate(3, t(0)).unwrap();
+        let a = allocate(&mut pool, 2, t(0)).unwrap();
+        let b = allocate(&mut pool, 3, t(0)).unwrap();
         assert_eq!(a, vec![0, 1]);
         assert_eq!(b, vec![2, 3, 4]);
         assert_eq!(pool.free_count(t(0)), 1);
-        assert!(pool.allocate(2, t(0)).is_none(), "all-or-nothing");
+        assert!(allocate(&mut pool, 2, t(0)).is_none(), "all-or-nothing");
         assert_eq!(pool.free_count(t(0)), 1, "failed allocation takes nothing");
     }
 
     #[test]
     fn release_reopens_lowest_holes() {
         let mut pool = NodePool::new(4);
-        let a = pool.allocate(2, t(0)).unwrap();
-        let _b = pool.allocate(2, t(0)).unwrap();
-        pool.release(&a, t(5));
+        let a = allocate(&mut pool, 2, t(0)).unwrap();
+        let _b = allocate(&mut pool, 2, t(0)).unwrap();
+        release(&mut pool, &a, t(5));
         // The hole at the front is reused first.
-        assert_eq!(pool.allocate(1, t(5)).unwrap(), vec![0]);
+        assert_eq!(allocate(&mut pool, 1, t(5)).unwrap(), vec![0]);
     }
 
     #[test]
     fn released_nodes_are_invisible_before_their_free_time() {
         let mut pool = NodePool::new(2);
-        let a = pool.allocate(1, t(0)).unwrap();
+        let a = allocate(&mut pool, 1, t(0)).unwrap();
         // Completion processed "out of order": frees node 0 at t=100.
-        pool.release(&a, t(100));
+        release(&mut pool, &a, t(100));
         // A dispatch timestamped earlier must not see it…
-        assert_eq!(pool.allocate(2, t(40)), None);
-        assert_eq!(pool.allocate(1, t(40)).unwrap(), vec![1]);
+        assert_eq!(allocate(&mut pool, 2, t(40)), None);
+        assert_eq!(allocate(&mut pool, 1, t(40)).unwrap(), vec![1]);
         // …but a dispatch at (or after) the free time may.
-        assert_eq!(pool.allocate(1, t(100)).unwrap(), vec![0]);
+        assert_eq!(allocate(&mut pool, 1, t(100)).unwrap(), vec![0]);
     }
 
     #[test]
     #[should_panic(expected = "released twice")]
     fn double_release_is_a_bug() {
         let mut pool = NodePool::new(2);
-        let a = pool.allocate(1, t(0)).unwrap();
-        pool.release(&a, t(1));
-        pool.release(&a, t(2));
+        let a = allocate(&mut pool, 1, t(0)).unwrap();
+        release(&mut pool, &a, t(1));
+        release(&mut pool, &a, t(2));
     }
 
     #[test]

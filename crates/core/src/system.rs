@@ -23,9 +23,11 @@ use maco_isa::stq::{SlaveTaskQueue, StqError, TaskKind};
 use maco_isa::{Asid, ExceptionType, Precision};
 use maco_mem::dram::{Dram, DramConfig};
 use maco_mem::l3::L3Config;
-use maco_mmae::config::MmaeConfig;
+use maco_mmae::config::{MmaeConfig, TilingConfig};
 use maco_mmae::engine::TASK_ISSUE_CYCLES;
-use maco_mmae::tiling::{block_passes, tiles_into, BlockPass, Tile};
+use maco_mmae::tiling::{
+    block_pass_at, block_pass_count, pass_tiles, tile_count, BlockPass, PassTiles, Tile,
+};
 use maco_mmae::translate::{PassKey, StreamTranslation, TranslationContext, TranslationMemo};
 use maco_mmae::Mmae;
 use maco_noc::fabric::{FabricConfig, MeshFabric, Route};
@@ -712,25 +714,24 @@ impl MacoSystem {
     /// Advances one tile step of `run`; returns the final report when the
     /// task completes.
     fn advance_step(&mut self, run: &mut GemmRun) -> Result<Option<NodeReport>, TranslateFault> {
-        if run.pass_idx >= run.passes.len() {
+        if run.pass_idx >= run.pass_count {
             return Ok(Some(run.report()));
         }
 
+        let t = self.config.mmae.tiling;
+        let pass = run.pass;
         // Pass entry: wait for stash residency, translate the pass, kick
         // off the next pass's stash.
         if run.tile_idx == 0 {
-            let pass = run.passes[run.pass_idx];
             if self.config.stash_lock {
                 // The first pass's blocks are stashed at task start. The
                 // DMA consumes the stash front cut-through, so only the
                 // first tile's share of the stream is exposed; the rest
                 // still occupies DRAM (and delays later stashes).
                 if run.pass_idx == 0 {
-                    let t = self.config.mmae.tiling;
                     let e = run.params.elem_bytes();
                     let bytes = pass.rows * pass.depth * e + pass.depth * pass.cols * e;
-                    let steps = (pass.rows.div_ceil(t.ttr) * pass.cols.div_ceil(t.ttc)).max(1);
-                    let first_share = bytes / steps;
+                    let first_share = bytes / run.tile_count.max(1) as u64;
                     run.stash_ready = self.price_stash(run, first_share, run.now);
                     if bytes > first_share {
                         let _ = self.price_stash(run, bytes - first_share, run.now);
@@ -738,7 +739,8 @@ impl MacoSystem {
                 }
                 run.now = run.now.max(run.stash_ready);
                 // Prefetch the *next* pass's blocks while this one computes.
-                if let Some(next) = run.passes.get(run.pass_idx + 1).copied() {
+                if run.pass_idx + 1 < run.pass_count {
+                    let next = run.pass_at(&t, run.pass_idx + 1);
                     let e = run.params.elem_bytes();
                     let bytes = next.rows * next.depth * e + next.depth * next.cols * e;
                     run.stash_ready = self.price_stash(run, bytes, run.now);
@@ -754,19 +756,20 @@ impl MacoSystem {
                 }
                 None => {
                     let c = self.translate_pass_mirrored(run, &pass)?;
-                    run.memo.record(key, c);
+                    // Only a later pass of this run can read the memo.
+                    if run.pass_idx + 1 < run.pass_count {
+                        run.memo.record(key, c);
+                    }
                     c
                 }
             };
             run.translation.merge(&pass_tr);
-            tiles_into(&pass, &self.config.mmae.tiling, &mut run.tiles);
             run.step_stall =
-                SimDuration::from_fs(pass_tr.stall.as_fs() / run.tiles.len().max(1) as u64);
+                SimDuration::from_fs(pass_tr.stall.as_fs() / run.tile_count.max(1) as u64);
             run.first_step = true;
         }
 
-        let pass = run.passes[run.pass_idx];
-        let tile = run.tiles[run.tile_idx];
+        let tile = run.tiles.next().expect("the pass has tile_count tiles");
         let step = self.price_tile_step(run, &pass, &tile);
         run.now += step;
 
@@ -776,12 +779,13 @@ impl MacoSystem {
         if run.slice == self.ccms.len() {
             run.slice = 0;
         }
-        if run.tile_idx == run.tiles.len() {
+        if run.tile_idx == run.tile_count {
             run.tile_idx = 0;
             run.pass_idx += 1;
-            if run.pass_idx == run.passes.len() {
+            if run.pass_idx == run.pass_count {
                 return Ok(Some(run.report()));
             }
+            run.enter_pass(&t);
         }
         Ok(None)
     }
@@ -1078,7 +1082,10 @@ impl MacoSystem {
         if !self.config.translation_mirror || self.config.prediction {
             return self.translate_pass_for(node, &run.params, pass);
         }
-        let sig = mirror_signature(run.params_sig, pass);
+        let params_sig = run
+            .params_sig
+            .expect("demand-mode mirror runs sign their params");
+        let sig = mirror_signature(params_sig, pass);
         let history = self.mirror.history[node];
         if let Some(h) = history {
             if let Some(entry) = self.mirror.cache.get(&(h, sig)) {
@@ -1297,12 +1304,19 @@ struct GemmRun {
     node: usize,
     maid: u8,
     params: GemmParams,
-    /// [`params_signature`] of `params`.
-    params_sig: u64,
-    passes: Vec<BlockPass>,
-    tiles: Vec<Tile>,
+    /// [`params_signature`] of `params`, computed only when the
+    /// demand-mode mirror reads it.
+    params_sig: Option<u64>,
+    /// The pass the next step belongs to: pass `pass_idx` of
+    /// `pass_count`, in closed form ([`block_pass_at`]).
+    pass: BlockPass,
+    pass_count: usize,
     pass_idx: usize,
+    /// The next step's tile within `pass`: index `tile_idx` of
+    /// `tile_count`, read from the `tiles` cursor.
     tile_idx: usize,
+    tile_count: usize,
+    tiles: PassTiles,
     step_counter: u64,
     /// The first CCM slice of the step's fanout window:
     /// `(step_counter + node) % slices`, advanced with the counter.
@@ -1356,13 +1370,19 @@ struct StepPlan {
 
 impl GemmRun {
     fn new(node: usize, maid: u8, params: GemmParams, config: &SystemConfig, t0: SimTime) -> Self {
+        let t = &config.mmae.tiling;
+        let pass_count = block_pass_count(params.m, params.n, params.k, t);
+        let pass = block_pass_at(params.m, params.n, params.k, t, 0);
+        let mirrored = config.translation_mirror && !config.prediction;
         GemmRun {
             node,
             maid,
-            passes: block_passes(params.m, params.n, params.k, &config.mmae.tiling),
-            tiles: Vec::new(),
+            pass,
+            pass_count,
             pass_idx: 0,
             tile_idx: 0,
+            tile_count: tile_count(&pass, t),
+            tiles: pass_tiles(&pass, t),
             step_counter: 0,
             slice: node % config.l3.slices,
             now: t0,
@@ -1378,9 +1398,22 @@ impl GemmRun {
             peak_gflops: config.mmae.peak_gflops(params.precision),
             memo: TranslationMemo::new(),
             plan: None,
-            params_sig: params_signature(&params),
+            params_sig: mirrored.then(|| params_signature(&params)),
             params,
         }
+    }
+
+    /// Pass `index` of this run's GEMM.
+    fn pass_at(&self, t: &TilingConfig, index: usize) -> BlockPass {
+        let p = &self.params;
+        block_pass_at(p.m, p.n, p.k, t, index)
+    }
+
+    /// Moves `pass` and the tile counters to pass `pass_idx`.
+    fn enter_pass(&mut self, t: &TilingConfig) {
+        self.pass = self.pass_at(t, self.pass_idx);
+        self.tile_count = tile_count(&self.pass, t);
+        self.tiles = pass_tiles(&self.pass, t);
     }
 
     fn report(&self) -> NodeReport {
@@ -1600,9 +1633,12 @@ mod tests {
         let params = sys.map_gemm(1500, 200, 1300, Precision::Fp64).unwrap();
         let asid = sys.node_asid(0);
         let mut task = sys.begin_gemm(0, asid, params, SimTime::ZERO).unwrap();
+        let passes = maco_mmae::tiling::block_passes(1500, 200, 1300, &sys.config.mmae.tiling);
+        assert_eq!(task.run.pass_count, passes.len());
         let mut seen = std::collections::BTreeSet::new();
         loop {
-            let pass = task.run.passes[task.run.pass_idx];
+            let pass = passes[task.run.pass_idx];
+            assert_eq!(task.run.pass, pass, "the run's pass is the listed one");
             let done = sys.step_gemm(&mut task).unwrap().is_some();
             let want = sys.unmapped_miss_fraction(&pass, params.elem_bytes());
             assert_eq!(task.run.miss_fraction.to_bits(), want.to_bits());

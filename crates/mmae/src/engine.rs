@@ -20,7 +20,7 @@ use maco_vm::VirtAddr;
 use crate::config::MmaeConfig;
 use crate::kernels::{matmul_into, GemmOperands, GemmScratch};
 use crate::systolic::SystolicArray;
-use crate::tiling::{block_passes, pass_tiles, tiles_into, BlockPass};
+use crate::tiling::{block_pass_at, block_pass_count, pass_tiles, BlockPass};
 use crate::translate::{StreamTranslation, TranslationContext};
 
 /// Fixed cost of accepting a task from the CPU (MA_CFG micro-ops, STQ
@@ -153,11 +153,11 @@ impl Mmae {
         let (m, n, k) = (ops.m, ops.n, ops.k);
         y.clear();
         y.resize(m * n, 0.0);
-        let mut tiles = std::mem::take(&mut scratch.tiles);
-        for pass in block_passes(m as u64, n as u64, k as u64, t) {
-            tiles_into(&pass, t, &mut tiles);
+        let (mu, nu, ku) = (m as u64, n as u64, k as u64);
+        for i in 0..block_pass_count(mu, nu, ku, t) {
+            let pass = block_pass_at(mu, nu, ku, t, i);
             let (k0, depth) = (pass.k0 as usize, pass.depth as usize);
-            for tile in &tiles {
+            for tile in pass_tiles(&pass, t) {
                 let (tr, tc) = (tile.rows as usize, tile.cols as usize);
                 let (row0, col0) = (tile.row0 as usize, tile.col0 as usize);
                 // Gather operand sub-blocks into the arena.
@@ -192,7 +192,6 @@ impl Mmae {
                 }
             }
         }
-        scratch.tiles = tiles;
     }
 }
 

@@ -29,7 +29,6 @@ use std::num::Wrapping;
 use maco_isa::Precision;
 
 use crate::f16::{f16_bits_to_f32, f32_to_f16_bits};
-use crate::tiling::Tile;
 
 /// Borrowed operands of one GEMM: row-major `A (m×k)`, `B (k×n)`,
 /// `C (m×n)`.
@@ -94,8 +93,6 @@ pub struct GemmScratch {
     pub(crate) ct: Vec<f64>,
     /// Tile output staging (`rows × cols`).
     pub(crate) yt: Vec<f64>,
-    /// Tile enumeration buffer for the pass walk.
-    pub(crate) tiles: Vec<Tile>,
 }
 
 impl GemmScratch {

@@ -27,9 +27,9 @@
 //!
 //! This crate prices nothing on its own. The one GEMM timing model is
 //! `maco_core::system::MacoSystem::price_tile_step`: it walks the same
-//! [`block_passes`], charges the [`systolic`] cycle model against DMA
-//! transfers through the shared mesh, CCM slices and DRAM, and adds the
-//! stall [`Mmae::translate_pass`] reports.
+//! block passes ([`block_pass_at`]), charges the [`systolic`] cycle model
+//! against DMA transfers through the shared mesh, CCM slices and DRAM,
+//! and adds the stall [`Mmae::translate_pass`] reports.
 //!
 //! # Example: functional tile GEMM matches a reference
 //!
@@ -59,5 +59,7 @@ pub use config::{MmaeConfig, TilingConfig};
 pub use engine::Mmae;
 pub use kernels::{GemmOperands, GemmScratch};
 pub use systolic::SystolicArray;
-pub use tiling::{block_passes, tiles_in_pass, tiles_into, BlockPass, Tile};
+pub use tiling::{
+    block_pass_at, block_pass_count, block_passes, tile_count, tiles_in_pass, BlockPass, Tile,
+};
 pub use translate::{PassKey, StreamTranslation, TranslationContext, TranslationMemo};

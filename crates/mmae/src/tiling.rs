@@ -50,36 +50,64 @@ pub struct Tile {
     pub cols: u64,
 }
 
-/// Enumerates the block passes of an `m×n×k` GEMM in `ib → jb → kb` order
-/// (reduction innermost, so a block's partial sums accumulate back-to-back).
-pub fn block_passes(m: u64, n: u64, k: u64, t: &TilingConfig) -> Vec<BlockPass> {
+/// Number of block passes of an `m×n×k` GEMM: the length of
+/// [`block_passes`].
+///
+/// # Panics
+///
+/// Panics on an inconsistent tiling or a zero extent.
+pub fn block_pass_count(m: u64, n: u64, k: u64, t: &TilingConfig) -> usize {
     t.validate();
     assert!(m > 0 && n > 0 && k > 0, "degenerate GEMM");
-    let mut passes = Vec::new();
+    (m.div_ceil(t.tr) * n.div_ceil(t.tc) * k.div_ceil(t.tk)) as usize
+}
+
+/// The `index`-th block pass of an `m×n×k` GEMM in `ib → jb → kb` order
+/// (reduction innermost, so a block's partial sums accumulate
+/// back-to-back), in closed form: walks that visit passes one at a time
+/// never build the list.
+///
+/// # Panics
+///
+/// Panics if `index` is not below [`block_pass_count`].
+pub fn block_pass_at(m: u64, n: u64, k: u64, t: &TilingConfig, index: usize) -> BlockPass {
     let kb_count = k.div_ceil(t.tk);
-    for ib in 0..m.div_ceil(t.tr) {
-        for jb in 0..n.div_ceil(t.tc) {
-            for kb in 0..kb_count {
-                let row0 = ib * t.tr;
-                let col0 = jb * t.tc;
-                let k0 = kb * t.tk;
-                passes.push(BlockPass {
-                    ib,
-                    jb,
-                    kb,
-                    row0,
-                    col0,
-                    k0,
-                    rows: (m - row0).min(t.tr),
-                    cols: (n - col0).min(t.tc),
-                    depth: (k - k0).min(t.tk),
-                    first_k: kb == 0,
-                    last_k: kb == kb_count - 1,
-                });
-            }
-        }
+    let jb_count = n.div_ceil(t.tc);
+    let i = index as u64;
+    let (kb, jb, ib) = (
+        i % kb_count,
+        i / kb_count % jb_count,
+        i / kb_count / jb_count,
+    );
+    assert!(ib < m.div_ceil(t.tr), "pass {index} out of range");
+    let (row0, col0, k0) = (ib * t.tr, jb * t.tc, kb * t.tk);
+    BlockPass {
+        ib,
+        jb,
+        kb,
+        row0,
+        col0,
+        k0,
+        rows: (m - row0).min(t.tr),
+        cols: (n - col0).min(t.tc),
+        depth: (k - k0).min(t.tk),
+        first_k: kb == 0,
+        last_k: kb == kb_count - 1,
     }
-    passes
+}
+
+/// Enumerates the block passes of an `m×n×k` GEMM: [`block_pass_at`] for
+/// every index below [`block_pass_count`].
+pub fn block_passes(m: u64, n: u64, k: u64, t: &TilingConfig) -> Vec<BlockPass> {
+    (0..block_pass_count(m, n, k, t))
+        .map(|i| block_pass_at(m, n, k, t, i))
+        .collect()
+}
+
+/// Number of second-level tiles in one block pass: the length of
+/// [`tiles_in_pass`].
+pub fn tile_count(pass: &BlockPass, t: &TilingConfig) -> usize {
+    (pass.rows.div_ceil(t.ttr) * pass.cols.div_ceil(t.ttc)) as usize
 }
 
 /// Enumerates the second-level tiles of one block pass in `jt → it` order
@@ -89,38 +117,61 @@ pub fn tiles_in_pass(pass: &BlockPass, t: &TilingConfig) -> Vec<Tile> {
     pass_tiles(pass, t).collect()
 }
 
-/// [`tiles_in_pass`] into a reusable buffer: the simulation hot loop calls
-/// this once per block pass with a long-lived `Vec`, so steady-state pass
-/// walks allocate nothing.
-pub fn tiles_into(pass: &BlockPass, t: &TilingConfig, tiles: &mut Vec<Tile>) {
-    tiles.clear();
-    tiles.extend(pass_tiles(pass, t));
+/// The tiles of [`tiles_in_pass`], in the same order, without
+/// materialising them: walks that visit each tile once allocate nothing,
+/// and each step is an offset advance, with no division.
+pub fn pass_tiles(pass: &BlockPass, t: &TilingConfig) -> PassTiles {
+    PassTiles {
+        row_start: pass.row0,
+        row_end: pass.row0 + pass.rows,
+        col_end: pass.col0 + pass.cols,
+        ttr: t.ttr,
+        ttc: t.ttc,
+        row0: pass.row0,
+        col0: pass.col0,
+    }
 }
 
-/// The tiles of [`tiles_in_pass`], in the same order, without
-/// materialising them: walks that visit each tile once allocate nothing.
-pub fn pass_tiles(pass: &BlockPass, t: &TilingConfig) -> impl Iterator<Item = Tile> {
-    let (pass, t) = (*pass, *t);
-    (0..pass.cols.div_ceil(t.ttc)).flat_map(move |jt| {
-        (0..pass.rows.div_ceil(t.ttr)).map(move |it| {
-            let row0 = pass.row0 + it * t.ttr;
-            let col0 = pass.col0 + jt * t.ttc;
-            Tile {
-                row0,
-                col0,
-                rows: (pass.row0 + pass.rows - row0).min(t.ttr),
-                cols: (pass.col0 + pass.cols - col0).min(t.ttc),
-            }
-        })
-    })
+/// The tile cursor [`pass_tiles`] returns: the next tile's offsets within
+/// one block pass.
+#[derive(Debug, Clone)]
+pub struct PassTiles {
+    row_start: u64,
+    row_end: u64,
+    col_end: u64,
+    ttr: u64,
+    ttc: u64,
+    row0: u64,
+    col0: u64,
+}
+
+impl Iterator for PassTiles {
+    type Item = Tile;
+
+    fn next(&mut self) -> Option<Tile> {
+        if self.col0 >= self.col_end {
+            return None;
+        }
+        let tile = Tile {
+            row0: self.row0,
+            col0: self.col0,
+            rows: (self.row_end - self.row0).min(self.ttr),
+            cols: (self.col_end - self.col0).min(self.ttc),
+        };
+        self.row0 += self.ttr;
+        if self.row0 >= self.row_end {
+            self.row0 = self.row_start;
+            self.col0 += self.ttc;
+        }
+        Some(tile)
+    }
 }
 
 /// Total number of second-level tile steps in the whole GEMM — the event
 /// count of the timing simulation.
 pub fn tile_step_count(m: u64, n: u64, k: u64, t: &TilingConfig) -> u64 {
-    block_passes(m, n, k, t)
-        .iter()
-        .map(|p| p.rows.div_ceil(t.ttr) * p.cols.div_ceil(t.ttc))
+    (0..block_pass_count(m, n, k, t))
+        .map(|i| tile_count(&block_pass_at(m, n, k, t, i), t) as u64)
         .sum()
 }
 

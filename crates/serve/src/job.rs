@@ -239,6 +239,11 @@ pub struct JobQueue {
     /// `ready[width - 1][policy.lane(tenant)]`: that class's non-empty
     /// rank FIFOs, in ascending rank.
     ready: Vec<Vec<Vec<RankFifo>>>,
+    /// The deques of rank FIFOs that emptied, reopened by the next rank
+    /// FIFOs to open, so ranks that drain and refill reuse their storage.
+    /// Open FIFOs plus spares never outnumber the most FIFOs ever open at
+    /// once.
+    spare: Vec<VecDeque<(SimTime, JobId)>>,
 }
 
 /// The queued jobs of one policy rank within a class, in ascending
@@ -287,6 +292,7 @@ impl JobQueue {
             len: 0,
             next_id: 0,
             ready: Vec::new(),
+            spare: Vec::new(),
         }
     }
 
@@ -332,7 +338,7 @@ impl JobQueue {
         let at = match fifos.binary_search_by_key(&rank, |f| f.rank) {
             Ok(at) => at,
             Err(at) => {
-                let entries = VecDeque::new();
+                let entries = self.spare.pop().unwrap_or_default();
                 fifos.insert(at, RankFifo { rank, entries });
                 at
             }
@@ -402,7 +408,7 @@ impl JobQueue {
             .expect("a queued job's rank has a FIFO");
         fifos[at].remove((job.arrival, job.id));
         if fifos[at].entries.is_empty() {
-            fifos.remove(at);
+            self.spare.push(fifos.remove(at).entries);
         }
         Some(job)
     }

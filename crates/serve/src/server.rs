@@ -43,6 +43,7 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::ops::Range;
 
 use maco_core::gemm_plus::partition_shapes_into;
 use maco_core::group::NodePool;
@@ -227,13 +228,14 @@ struct Job {
     ticket: u64,
     /// Cached total flops (reported in the job's outcome).
     flops_total: u64,
-    group: Vec<usize>,
+    /// This job's gang: its range in the episode lease log, one lease per
+    /// node in gang order. Empty until dispatch and again once the gang
+    /// is released.
+    leases: Range<usize>,
     layer: usize,
     members_left: usize,
     /// Max member end (epilogue tails included) of the current layer.
     layer_end: SimTime,
-    /// Index of this job's first lease in the episode lease log.
-    lease_start: usize,
     finished: bool,
 }
 
@@ -359,6 +361,12 @@ pub struct Engine {
     tasks: TaskHeap<Member>,
     served: Vec<u64>,
     stats: Vec<TenantReport>,
+    /// Per tenant, the index of the first tenant sharing its ASID: the
+    /// slot its MTQ occupancy is counted under in `mtq_held`.
+    asid_slot: Vec<usize>,
+    /// MTQ entries held machine-wide per ASID slot: the in-flight gang
+    /// members of that ASID's tenants.
+    mtq_held: Vec<usize>,
     leases: Vec<NodeLease>,
     /// Armed when a queued job is blocked on nodes whose free time lies in
     /// the simulated future (completions are processed in event order, so
@@ -425,6 +433,16 @@ impl Engine {
             tasks: TaskHeap::new(nodes),
             served: vec![0; tenants.len()],
             stats,
+            asid_slot: tenants
+                .iter()
+                .map(|t| {
+                    tenants
+                        .iter()
+                        .position(|u| u.asid == t.asid)
+                        .expect("a tenant shares its own ASID")
+                })
+                .collect(),
+            mtq_held: vec![0; tenants.len()],
             leases: Vec::new(),
             wake: None,
             shape_buf: Vec::new(),
@@ -640,34 +658,30 @@ impl Engine {
     /// the engine and its `MacoSystem` with fresh ones.
     pub fn evict_all(&mut self, now: SimTime) -> Vec<EvictedJob> {
         self.tasks.clear();
+        self.mtq_held.fill(0);
         self.wake = None;
         self.queue.clear();
         let mut evicted = Vec::new();
         for ji in 0..self.jobs.len() {
-            let (lease_range, group) = {
-                let job = &mut self.jobs[ji];
-                if job.finished {
-                    continue;
-                }
-                job.finished = true;
-                let range = job.lease_start..job.lease_start + job.group.len();
-                (range, std::mem::take(&mut job.group))
-            };
-            let was_running = !group.is_empty();
-            if was_running {
-                for lease in &mut self.leases[lease_range] {
-                    lease.until = now;
-                    self.sink.span(
-                        "lease",
-                        self.track,
-                        lease.node as u32,
-                        lease.from,
-                        now,
-                        ji as u64,
-                        lease.tenant as u32,
-                    );
-                }
-                self.pool.release(&group, now);
+            let job = &mut self.jobs[ji];
+            if job.finished {
+                continue;
+            }
+            job.finished = true;
+            let gang = std::mem::take(&mut job.leases);
+            let was_running = !gang.is_empty();
+            for lease in &mut self.leases[gang] {
+                lease.until = now;
+                self.sink.span(
+                    "lease",
+                    self.track,
+                    lease.node as u32,
+                    lease.from,
+                    now,
+                    ji as u64,
+                    lease.tenant as u32,
+                );
+                self.pool.release(lease.node, now);
             }
             let job = &self.jobs[ji];
             self.sink.instant(
@@ -724,7 +738,7 @@ impl Engine {
         self.jobs
             .iter()
             .enumerate()
-            .filter(|(_, j)| !j.finished && !j.group.is_empty())
+            .filter(|(_, j)| !j.finished && !j.leases.is_empty())
             .map(|(i, _)| JobId(i as u64))
             .collect()
     }
@@ -795,11 +809,10 @@ impl Engine {
                     flops_total,
                     spec,
                     ticket,
-                    group: Vec::new(),
+                    leases: 0..0,
                     layer: 0,
                     members_left: 0,
                     layer_end: SimTime::ZERO,
-                    lease_start: 0,
                     finished: false,
                 });
             }
@@ -864,15 +877,32 @@ impl Engine {
                 // event order), or on jobs admitted ahead of their arrival
                 // by such a completion: arm the retry wake-up.
                 let retry = earliest(self.pool.next_free_after(now), early);
+                if let Some(retry) = retry {
+                    debug_assert!(
+                        retry > now,
+                        "wake armed at {} fs, not after the scheduling instant {} fs: \
+                         the ready queue held back a job that had arrived",
+                        retry.as_fs(),
+                        now.as_fs(),
+                    );
+                }
                 self.wake = earliest(self.wake, retry);
                 return Ok(());
             };
             let queued = self.queue.remove(id).expect("picked from the queue");
-            let group = self
-                .pool
-                .allocate(queued.width, now)
-                .expect("pick checked the fit");
             let (pick, tenant) = (id.0, queued.tenant);
+            let first = self.leases.len();
+            let leases = &mut self.leases;
+            let fits = self.pool.allocate(queued.width, now, |node| {
+                leases.push(NodeLease {
+                    node,
+                    job: pick,
+                    tenant,
+                    from: now,
+                    until: now,
+                });
+            });
+            assert!(fits, "pick checked the fit");
             let ji = pick as usize;
             self.sink.instant(
                 "job/dispatch",
@@ -882,17 +912,7 @@ impl Engine {
                 pick,
                 tenant as u32,
             );
-            self.jobs[ji].lease_start = self.leases.len();
-            for &node in &group {
-                self.leases.push(NodeLease {
-                    node,
-                    job: pick,
-                    tenant,
-                    from: now,
-                    until: now,
-                });
-            }
-            self.jobs[ji].group = group;
+            self.jobs[ji].leases = first..self.leases.len();
             self.begin_layer(system, ji, now)?;
         }
     }
@@ -904,12 +924,14 @@ impl Engine {
         ji: usize,
         at: SimTime,
     ) -> Result<(), ServeError> {
-        let layer = self.jobs[ji].spec.layers[self.jobs[ji].layer].clone();
+        let job = &self.jobs[ji];
+        let layer = job.spec.layers[job.layer].clone();
+        let gang = job.leases.start;
         partition_shapes_into(
             layer.m,
             layer.n,
             layer.k,
-            self.jobs[ji].group.len(),
+            job.leases.len(),
             &mut self.shape_buf,
         );
         debug_assert!(
@@ -923,7 +945,7 @@ impl Engine {
         let parts = self.shape_buf.len();
         for j in 0..parts {
             let (pm, pn, pk) = self.shape_buf[j];
-            let node = self.jobs[ji].group[j];
+            let node = self.leases[gang + j].node;
             let params = system.map_gemm(pm, pn, pk, layer.precision)?;
             let task = system.begin_gemm(node, asid, params, at)?;
             // The epilogue tail that extends a member past its GEMM: with
@@ -953,17 +975,24 @@ impl Engine {
         }
         self.jobs[ji].members_left = parts;
         self.jobs[ji].layer_end = at;
-        // Occupancy accounting through the MPAIS queues themselves. The
-        // MTQ sum spans every node, not just this gang: a tenant running
-        // several concurrent jobs holds entries machine-wide.
-        let mut mtq = 0;
-        let mut stq = 0;
-        for node in 0..system.node_count() {
-            mtq += system.cpu(node).mtq().in_use_by(asid);
-        }
-        for j in 0..parts {
-            stq = stq.max(system.stq(self.jobs[ji].group[j]).len());
-        }
+        // Occupancy accounting. The MTQ count spans every node, not just
+        // this gang: a tenant running several concurrent jobs holds
+        // entries machine-wide, and every in-flight member holds one.
+        let slot = self.asid_slot[tenant];
+        self.mtq_held[slot] += parts;
+        let mtq = self.mtq_held[slot];
+        debug_assert_eq!(
+            mtq,
+            (0..system.node_count())
+                .map(|node| system.cpu(node).mtq().in_use_by(asid))
+                .sum::<usize>(),
+            "counted MTQ occupancy of {asid:?} disagrees with the MTQs",
+        );
+        let stq = self.leases[gang..gang + parts]
+            .iter()
+            .map(|lease| system.stq(lease.node).len())
+            .max()
+            .unwrap_or(0);
         self.stats[tenant].peak_mtq = self.stats[tenant].peak_mtq.max(mtq);
         self.stats[tenant].peak_stq = self.stats[tenant].peak_stq.max(stq);
         Ok(())
@@ -981,6 +1010,8 @@ impl Engine {
     ) -> Result<Option<JobOutcome>, ServeError> {
         let member_end = task.now() + done.epilogue_tail;
         let ji = done.job;
+        // The member's MTQ entry was released as its task completed.
+        self.mtq_held[self.asid_slot[self.jobs[ji].spec.tenant]] -= 1;
         self.sink.span(
             "layer",
             self.track,
@@ -1030,10 +1061,9 @@ impl Engine {
         let (arrival, ticket) = (job.spec.arrival, job.ticket);
         let latency = layer_end.since(arrival);
         let flops = job.flops_total;
-        let lease_range = job.lease_start..job.lease_start + job.group.len();
-        let group = std::mem::take(&mut job.group);
+        let gang = std::mem::take(&mut job.leases);
         let deadline_missed = job.spec.deadline.is_some_and(|d| latency > d);
-        for lease in &mut self.leases[lease_range] {
+        for lease in &mut self.leases[gang] {
             lease.until = layer_end;
             self.sink.span(
                 "lease",
@@ -1044,6 +1074,7 @@ impl Engine {
                 ji as u64,
                 tenant as u32,
             );
+            self.pool.release(lease.node, layer_end);
         }
         self.sink.instant(
             "job/complete",
@@ -1053,7 +1084,6 @@ impl Engine {
             ji as u64,
             tenant as u32,
         );
-        self.pool.release(&group, layer_end);
         self.jobs_completed += 1;
         self.last_finish = self.last_finish.max(layer_end);
         let st = &mut self.stats[tenant];

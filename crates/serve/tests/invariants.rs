@@ -623,6 +623,30 @@ fn deadlines_and_priorities_are_observed() {
     assert_eq!(report.tenants[0].completed, 1);
 }
 
+/// MTQ occupancy is per process (ASID), so tenants that share one count
+/// each other's in-flight members. Four single-node jobs start at once on
+/// four nodes, alternating between two tenants of one ASID, so the last
+/// of them starts with four entries held; a third tenant's job, of
+/// another ASID, waits for a node and starts with its own entry alone.
+#[test]
+fn tenants_sharing_an_asid_share_its_mtq_occupancy() {
+    let shared = maco_isa::Asid::new(9);
+    let tenants = vec![
+        Tenant::new("a", shared),
+        Tenant::new("b", shared),
+        Tenant::new("c", maco_isa::Asid::new(10)),
+    ];
+    let specs = [0, 1, 0, 1, 2]
+        .into_iter()
+        .map(|tenant| cube_job(tenant, 64, 1, 0, 0, 1))
+        .collect();
+    let mut server = Server::new(small_system(4), tenants, ServeConfig::default());
+    let report = server.run_jobs(specs).expect("episode completes");
+    assert_eq!(report.jobs_completed, 5);
+    let peaks: Vec<usize> = report.tenants.iter().map(|t| t.peak_mtq).collect();
+    assert_eq!(peaks, [3, 4, 1]);
+}
+
 /// One FP32 job of `layers` `d`³ GEMMs, with no deadline.
 fn cube_job(
     tenant: usize,
