@@ -80,7 +80,7 @@ struct BenchResult {
 
 /// Folds a slice of result bits into a stable order-sensitive hash (the
 /// serving layer's fingerprint fold — one implementation, shared).
-use maco_serve::report::fold_fingerprint as fold_bits;
+use maco_sim::fold_fingerprint as fold_bits;
 
 fn kernel_bench(precision: Precision, n: usize) -> BenchResult {
     let [mut a, mut b, mut c] = [101, 102, 103].map(|seed| {

@@ -70,11 +70,12 @@ use maco_noc::topology::MeshShape;
 use maco_serve::{validate_spec, Engine, JobOutcome, JobSpec, ServeReport, Tenant};
 use maco_sim::time::earliest;
 use maco_sim::{FxHashMap, LatencyBandwidthResource, SimDuration, SimTime};
-use maco_telemetry::{Log2Histogram, TraceRecord, TraceSink, ROUTER_TRACK, SCHED_ROW};
+use maco_telemetry::{Log2Histogram, TraceRecord, TraceSink, ROUTER_TRACK};
 use maco_workloads::trace::TraceRequest;
 
+use crate::event::{FaultEventKind, FleetEvent, FleetLog};
 use crate::report::{
-    fold_fingerprint, merge_serve_reports, ClusterDiagnostics, ClusterReport, FaultReport,
+    interconnect_fingerprint, merge_serve_reports, ClusterDiagnostics, ClusterReport, FaultReport,
     JobRecord, MachineReport, ScaleEvent,
 };
 use crate::spec::{AutoscalerSpec, ClusterSpec, DegradationWindow, Placement};
@@ -237,11 +238,10 @@ impl Cluster {
             .iter()
             .map(|m| Engine::new(m.system.nodes, &self.tenants, &m.serve))
             .collect();
+        let mut ep = FleetEpisode::new(&self.spec, self.tenants.len(), self.sink.clone());
         for (i, engine) in engines.iter_mut().enumerate() {
-            engine.set_trace(self.sink.clone(), i as u32);
+            ep.log.attach(engine, i);
         }
-        let mut ep = FleetEpisode::new(&self.spec, self.tenants.len());
-        ep.sink = self.sink.clone();
 
         // A fault-free fleet of one has no routing freedom: every job
         // lands on machine 0, nothing migrates, nothing splits, nothing
@@ -299,19 +299,29 @@ impl Cluster {
                 }
                 ep.rekey(&engines[i], i);
             } else if fault == Some(horizon) {
-                let ev = ep.faults.pop_front().expect("peeked above");
-                match ev.kind {
+                let FaultEvent { at, kind } = ep.faults.pop_front().expect("peeked above");
+                // A fail of a dead machine or a recovery of a live one
+                // (`FaultSpec::validate` allows both) folds and does
+                // nothing else.
+                let live = match kind {
+                    FaultEventKind::Fail(i) => ep.alive[i],
+                    FaultEventKind::Recover(i) => !ep.alive[i],
+                    FaultEventKind::DegradeStart(_) | FaultEventKind::DegradeEnd(_) => true,
+                };
+                ep.log.emit(FleetEvent::Fault(kind, at, live));
+                match kind {
+                    _ if !live => {}
                     FaultEventKind::Fail(i) => ep.fail(
                         &self.spec,
                         &self.tenants,
                         &mut engines,
                         &mut self.systems,
                         i,
-                        ev.at,
+                        at,
                     ),
-                    FaultEventKind::Recover(i) => ep.recover(i, ev.at),
-                    FaultEventKind::DegradeStart(d) => ep.degrade(d, true, ev.at),
-                    FaultEventKind::DegradeEnd(d) => ep.degrade(d, false, ev.at),
+                    FaultEventKind::Recover(i) => ep.recover(i, at),
+                    FaultEventKind::DegradeStart(d) => ep.degrade(d, true),
+                    FaultEventKind::DegradeEnd(d) => ep.degrade(d, false),
                 }
             } else if arrival == Some(horizon) {
                 let spec = pending.pop_front().expect("peeked above");
@@ -344,13 +354,11 @@ impl Cluster {
                 }
             })
             .collect();
-        let mut fp = ep.fingerprint;
-        let mut makespan = ep.last_finish;
-        for m in &machine_reports {
-            fp = fold_fingerprint(fp, m.serve.fingerprint);
-            makespan = makespan.max(SimTime::ZERO + m.serve.makespan);
-        }
-        fp = fold_fingerprint(fp, makespan.as_fs());
+        let makespan = machine_reports
+            .iter()
+            .map(|m| SimTime::ZERO + m.serve.makespan)
+            .fold(ep.last_finish, SimTime::max);
+        let (fp, fault_fp) = ep.log.finish(&machine_reports, makespan);
 
         // Availability: alive machine-time over makespan × fleet size,
         // open downtime intervals (no recovery) clipped at the makespan.
@@ -403,18 +411,9 @@ impl Cluster {
             deadline_misses: ep.deadline_misses,
             scale_events: ep.scale_events,
             peak_active: ep.peak_active,
-            fingerprint: ep.fault_fp,
+            fingerprint: fault_fp,
         };
-        // The byte-metric fingerprint: every job's attributed bytes in
-        // record order, then every machine's total — pinned by the
-        // `placement_sfc` perf scenario.
-        let mut icn_fp = 0u64;
-        for rec in &ep.records {
-            icn_fp = fold_fingerprint(icn_fp, rec.interconnect_bytes);
-        }
-        for &b in &ep.machine_bytes {
-            icn_fp = fold_fingerprint(icn_fp, b);
-        }
+        let icn_fp = interconnect_fingerprint(&ep.records, &ep.machine_bytes);
         Ok(ClusterReport {
             jobs: ep.records,
             jobs_completed: ep.jobs_completed,
@@ -554,14 +553,13 @@ fn drain(
     engines: &mut [Engine],
     systems: &mut [MacoSystem],
 ) -> Result<(), ClusterError> {
-    let shared = ep.sink.clone();
     let mut busy = engines
         .iter_mut()
         .zip(systems.iter_mut())
         .enumerate()
         .filter(|(_, (engine, _))| engine.next_event().is_some())
         .map(|(i, (engine, system))| {
-            let buffer = shared.buffer();
+            let buffer = ep.log.buffer();
             engine.set_trace(buffer.clone(), i as u32);
             (i, engine, system, buffer)
         });
@@ -584,11 +582,11 @@ fn drain(
         log
     });
     for (i, engine) in engines.iter_mut().enumerate() {
-        engine.set_trace(shared.clone(), i as u32);
+        ep.log.attach(engine, i);
     }
     log.sort_unstable_by_key(|l| (l.key, l.machine, l.advance));
     for l in log {
-        shared.replay(&l.records);
+        ep.log.replay(&l.records);
         if let Some(outcome) = l.outcome? {
             ep.complete(l.machine, outcome);
         }
@@ -603,19 +601,6 @@ struct Reduction {
     end: SimTime,
     /// All-reduce bytes charged when the barrier clears (zero = m-split).
     reduce_bytes: u64,
-}
-
-/// What kind of fault-schedule event fired.
-#[derive(Debug, Clone, Copy)]
-enum FaultEventKind {
-    /// Machine fail-stop.
-    Fail(usize),
-    /// Machine recovery (fresh, cold incarnation rejoins the fleet).
-    Recover(usize),
-    /// Degradation window (by index into the spec) opens.
-    DegradeStart(usize),
-    /// Degradation window (by index into the spec) closes.
-    DegradeEnd(usize),
 }
 
 /// One scheduled fault event on the global timeline. Built once from the
@@ -657,6 +642,17 @@ impl Ord for ReRoute {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         (self.at, self.seq).cmp(&(other.at, other.seq))
     }
+}
+
+/// Wire bytes of moving `job`'s state between machines: the migration
+/// context plus every layer's weight operand (`k × n` elements).
+fn state_bytes(spec: &ClusterSpec, job: &JobSpec) -> u64 {
+    let weights: u64 = job
+        .layers
+        .iter()
+        .map(|l| l.k * l.n * l.precision.bytes())
+        .sum();
+    spec.interconnect.migration_bytes + weights
 }
 
 /// Ranks `machines` fleet positions along a generalized Hilbert curve
@@ -731,7 +727,9 @@ struct FleetEpisode {
     /// the topology the byte metrics count link crossings on.
     grid_cols: usize,
     last_finish: SimTime,
-    fingerprint: u64,
+    /// The schedule and fault fingerprints and the trace sink: every
+    /// fleet event is folded and recorded through [`FleetLog::emit`].
+    log: FleetLog,
 
     // ---- failure / elasticity state ----
     /// Scheduled fault events, time-sorted, drained front-to-back.
@@ -777,19 +775,14 @@ struct FleetEpisode {
     scale_events: Vec<ScaleEvent>,
     peak_active: usize,
     diagnostics: ClusterDiagnostics,
-    /// The failure layer's own order-sensitive event fold.
-    fault_fp: u64,
-    /// Telemetry sink for router/fleet events (off by default; overwritten
-    /// with the cluster's sink at episode start). Purely observational —
-    /// never consulted for any routing or fault decision.
-    sink: TraceSink,
 }
 
 impl FleetEpisode {
     /// Fresh episode state for one `run_jobs` call: compiles the fault
     /// schedule into a time-sorted event queue and initialises the
     /// autoscaler's active set (`min_machines` actives; the rest standby).
-    fn new(spec: &ClusterSpec, tenants: usize) -> Self {
+    /// Fleet events are recorded on `sink`.
+    fn new(spec: &ClusterSpec, tenants: usize, sink: TraceSink) -> Self {
         let machines = spec.machines.len();
         let mut events: Vec<FaultEvent> = Vec::new();
         for f in &spec.faults.machine_faults {
@@ -840,7 +833,7 @@ impl FleetEpisode {
             sfc_order,
             grid_cols,
             last_finish: SimTime::ZERO,
-            fingerprint: 0,
+            log: FleetLog::new(sink),
             faults: VecDeque::from(events),
             degradations: spec.faults.degradations.clone(),
             win_active: vec![false; spec.faults.degradations.len()],
@@ -866,8 +859,6 @@ impl FleetEpisode {
             scale_events: Vec::new(),
             peak_active: active_n,
             diagnostics: ClusterDiagnostics::default(),
-            fault_fp: 0,
-            sink: TraceSink::off(),
         }
     }
 
@@ -969,17 +960,7 @@ impl FleetEpisode {
 
     /// Opens/closes degradation window `d` and recomputes the combined
     /// multipliers (products over open windows, saturating).
-    fn degrade(&mut self, d: usize, start: bool, at: SimTime) {
-        let code: u64 = if start { 0xF3 } else { 0xF4 };
-        self.fault_fp = fold_fingerprint(self.fault_fp, code);
-        self.fault_fp = fold_fingerprint(self.fault_fp, d as u64);
-        self.fault_fp = fold_fingerprint(self.fault_fp, at.as_fs());
-        let name = if start {
-            "degrade/start"
-        } else {
-            "degrade/end"
-        };
-        self.sink.instant(name, ROUTER_TRACK, 0, at, d as u64, 0);
+    fn degrade(&mut self, d: usize, start: bool) {
         self.win_active[d] = start;
         let mut lat: u64 = 1;
         let mut bw: u64 = 1;
@@ -993,7 +974,7 @@ impl FleetEpisode {
         self.bw_div = bw;
     }
 
-    /// Fail-stop of machine `i` at `at`: evict everything un-finished,
+    /// Fail-stop of live machine `i` at `at`: evict everything un-finished,
     /// retire the engine incarnation (its report is merged into the
     /// machine's final view), cold-restart system and ticket map, and queue
     /// every evicted remainder for re-placement after charging its state
@@ -1008,14 +989,6 @@ impl FleetEpisode {
         i: usize,
         at: SimTime,
     ) {
-        self.fault_fp = fold_fingerprint(self.fault_fp, 0xF1);
-        self.fault_fp = fold_fingerprint(self.fault_fp, i as u64);
-        self.fault_fp = fold_fingerprint(self.fault_fp, at.as_fs());
-        if !self.alive[i] {
-            return;
-        }
-        self.sink
-            .instant("fault/fail", i as u32, SCHED_ROW, at, i as u64, 0);
         self.alive[i] = false;
         self.downs[i].push((at, None));
         self.failures += 1;
@@ -1029,7 +1002,7 @@ impl FleetEpisode {
         );
         // The fresh incarnation records onto the same shared sink/track as
         // the retired one — trace coverage survives the fail-stop.
-        engines[i].set_trace(self.sink.clone(), i as u32);
+        self.log.attach(&mut engines[i], i);
         self.retired[i].push(old.finish(&systems[i]));
         systems[i] = MacoSystem::new(mspec.system.clone());
         systems[i].reset_shared_resources();
@@ -1041,13 +1014,7 @@ impl FleetEpisode {
         let mut latest = at;
         for ej in evicted {
             let rec = routed[ej.ticket as usize];
-            let weight_bytes: u64 = ej
-                .spec
-                .layers
-                .iter()
-                .map(|l| l.k * l.n * l.precision.bytes())
-                .sum();
-            let bytes = cspec.interconnect.migration_bytes + weight_bytes;
+            let bytes = state_bytes(cspec, &ej.spec);
             // State transfer is charged exactly once, *here* at eviction;
             // `replace()` only *attributes* it (the link weight needs the
             // destination) and adds no wire bytes — deferral costs
@@ -1058,10 +1025,11 @@ impl FleetEpisode {
             self.replaced_bytes += bytes;
             self.jobs_replaced += 1;
             self.records[rec].requeues += 1;
-            self.fault_fp = fold_fingerprint(self.fault_fp, 0xF7);
-            self.fault_fp = fold_fingerprint(self.fault_fp, rec as u64);
-            self.fault_fp = fold_fingerprint(self.fault_fp, ej.completed_layers as u64);
-            self.fault_fp = fold_fingerprint(self.fault_fp, effective.as_fs());
+            self.log.emit(FleetEvent::Evict {
+                rec,
+                completed_layers: ej.completed_layers,
+                effective,
+            });
             self.reroutes.push(Reverse(ReRoute {
                 at: effective,
                 seq: self.reroute_seq,
@@ -1086,20 +1054,12 @@ impl FleetEpisode {
         }
     }
 
-    /// Recovery of machine `i` at `at`: the machine rejoins the fleet as
+    /// Recovery of dead machine `i` at `at`: the machine rejoins the fleet as
     /// a cold, empty incarnation (its fresh engine was installed at the
     /// fail-stop). Under an autoscaler it rejoins as *standby* — unless
     /// the fleet is otherwise empty, in which case it is force-activated
     /// so deferred work can make progress.
     fn recover(&mut self, i: usize, at: SimTime) {
-        self.fault_fp = fold_fingerprint(self.fault_fp, 0xF2);
-        self.fault_fp = fold_fingerprint(self.fault_fp, i as u64);
-        self.fault_fp = fold_fingerprint(self.fault_fp, at.as_fs());
-        if self.alive[i] {
-            return;
-        }
-        self.sink
-            .instant("fault/recover", i as u32, SCHED_ROW, at, i as u64, 0);
         self.alive[i] = true;
         if let Some(last) = self.downs[i].last_mut() {
             last.1 = Some(at);
@@ -1119,19 +1079,14 @@ impl FleetEpisode {
     /// drain), folding it into the fault fingerprint.
     fn scale(&mut self, at: SimTime, grew: bool, m: usize) {
         let after = self.eligible_count();
-        self.scale_events.push(ScaleEvent {
+        let event = ScaleEvent {
             at,
             grew,
             active_after: after,
-        });
+        };
+        self.log.emit(FleetEvent::Scale(&event, m));
+        self.scale_events.push(event);
         self.peak_active = self.peak_active.max(after);
-        self.fault_fp = fold_fingerprint(self.fault_fp, 0xF5);
-        self.fault_fp = fold_fingerprint(self.fault_fp, u64::from(grew));
-        self.fault_fp = fold_fingerprint(self.fault_fp, m as u64);
-        self.fault_fp = fold_fingerprint(self.fault_fp, after as u64);
-        self.fault_fp = fold_fingerprint(self.fault_fp, at.as_fs());
-        let name = if grew { "scale/grow" } else { "scale/shrink" };
-        self.sink.instant(name, ROUTER_TRACK, 0, at, m as u64, 0);
     }
 
     /// One autoscaler decision at a routed arrival: slide the windows,
@@ -1197,18 +1152,11 @@ impl FleetEpisode {
         index: usize,
     ) {
         let machines = engines.len();
-        self.fingerprint = fold_fingerprint(self.fingerprint, index as u64);
         if validate_spec(tenants.len(), &job).is_err() {
             self.jobs_rejected += 1;
-            self.sink.instant(
-                "route/reject",
-                ROUTER_TRACK,
-                0,
-                job.arrival,
-                index as u64,
-                job.tenant as u32,
-            );
-            self.push_record(JobRecord::new(index, &job), job.deadline);
+            let record = JobRecord::new(index, &job);
+            self.log.emit(FleetEvent::Reject(&record));
+            self.push_record(record, job.deadline);
             return;
         }
         let flops = job.flops();
@@ -1223,15 +1171,9 @@ impl FleetEpisode {
                 .next_recovery()
                 .expect("every machine is dead with no scheduled recovery: the fleet cannot serve this arrival");
             let rec = self.records.len();
-            self.push_record(JobRecord::new(index, &job), job.deadline);
-            self.sink.instant(
-                "route/defer",
-                ROUTER_TRACK,
-                0,
-                job.arrival,
-                index as u64,
-                job.tenant as u32,
-            );
+            let record = JobRecord::new(index, &job);
+            self.log.emit(FleetEvent::Defer(&record));
+            self.push_record(record, job.deadline);
             self.reroutes.push(Reverse(ReRoute {
                 at: wake,
                 seq: self.reroute_seq,
@@ -1275,14 +1217,11 @@ impl FleetEpisode {
                     job.arrival
                 };
                 if spec.placement == Placement::SfcLocality {
-                    self.sink.instant(
-                        "place/sfc",
-                        ROUTER_TRACK,
-                        0,
-                        effective,
-                        index as u64,
-                        targets[0] as u32,
-                    );
+                    self.log.emit(FleetEvent::Place {
+                        job: index,
+                        at: effective,
+                        machine: targets[0],
+                    });
                 }
                 for (part, &m) in split.parts.into_iter().zip(&targets) {
                     // Built field by field: the part owns its single
@@ -1296,17 +1235,7 @@ impl FleetEpisode {
                         gang_width: job.gang_width,
                     };
                     self.push_job(engines, m, part_spec, index);
-                    self.fingerprint = fold_fingerprint(self.fingerprint, m as u64);
                 }
-                self.fingerprint = fold_fingerprint(self.fingerprint, effective.as_fs());
-                self.sink.instant(
-                    "route/split",
-                    ROUTER_TRACK,
-                    0,
-                    effective,
-                    index as u64,
-                    job.tenant as u32,
-                );
                 self.reductions.insert(
                     index,
                     Reduction {
@@ -1327,6 +1256,7 @@ impl FleetEpisode {
                     interconnect_bytes: scatter_link,
                     ..JobRecord::new(index, &job)
                 };
+                self.log.emit(FleetEvent::Route(&record));
                 self.push_record(record, job.deadline);
                 return;
             }
@@ -1335,14 +1265,11 @@ impl FleetEpisode {
         // Machine-affine placement.
         let m = self.place(spec.placement, machines, job.tenant);
         if spec.placement == Placement::SfcLocality {
-            self.sink.instant(
-                "place/sfc",
-                ROUTER_TRACK,
-                0,
-                job.arrival,
-                index as u64,
-                m as u32,
-            );
+            self.log.emit(FleetEvent::Place {
+                job: index,
+                at: job.arrival,
+                machine: m,
+            });
         }
         let home = self.tenant_home[job.tenant];
         let migrated = home.is_some_and(|h| h != m);
@@ -1352,13 +1279,8 @@ impl FleetEpisode {
             // interconnect before the job can start on the new machine.
             // Attributed (link-weighted) to the job and the old home —
             // the hub the state streams off.
-            let weight_bytes: u64 = job
-                .layers
-                .iter()
-                .map(|l| l.k * l.n * l.precision.bytes())
-                .sum();
             self.migrations += 1;
-            let bytes = spec.interconnect.migration_bytes + weight_bytes;
+            let bytes = state_bytes(spec, &job);
             let h = home.expect("migrated implies a previous home");
             link_bytes = bytes * self.fleet_hops(h, m);
             self.machine_bytes[h] += link_bytes;
@@ -1367,7 +1289,6 @@ impl FleetEpisode {
             job.arrival
         };
         self.tenant_home[job.tenant] = Some(m);
-        let tenant = job.tenant;
         let record = JobRecord {
             effective_arrival: effective,
             machines: vec![m],
@@ -1375,22 +1296,12 @@ impl FleetEpisode {
             interconnect_bytes: link_bytes,
             ..JobRecord::new(index, &job)
         };
+        self.log.emit(FleetEvent::Route(&record));
         self.push_record(record, job.deadline);
         // The routed job moves into the machine engine whole — the layer
         // stream is never cloned on the routing path.
         job.arrival = effective;
         self.push_job(engines, m, job, index);
-        self.fingerprint = fold_fingerprint(self.fingerprint, m as u64);
-        self.fingerprint = fold_fingerprint(self.fingerprint, effective.as_fs());
-        let name = if migrated { "route/migrate" } else { "route" };
-        self.sink.instant(
-            name,
-            ROUTER_TRACK,
-            0,
-            effective,
-            index as u64,
-            tenant as u32,
-        );
     }
 
     /// Re-places one evicted remainder (or deferred arrival) on an
@@ -1415,8 +1326,11 @@ impl FleetEpisode {
         let machines = engines.len();
         let m = self.place(spec.placement, machines, r.spec.tenant);
         if spec.placement == Placement::SfcLocality {
-            self.sink
-                .instant("place/sfc", ROUTER_TRACK, 0, r.at, r.rec as u64, m as u32);
+            self.log.emit(FleetEvent::Place {
+                job: r.rec,
+                at: r.at,
+                machine: m,
+            });
         }
         // The eviction's wire bytes were charged at fail(); now that the
         // destination is known, weight them by the links crossed and
@@ -1429,18 +1343,12 @@ impl FleetEpisode {
         let (rec, at, mut job) = (r.rec, r.at, r.spec);
         job.arrival = at;
         self.push_job(engines, m, job, rec);
-        self.fault_fp = fold_fingerprint(self.fault_fp, 0xF6);
-        self.fault_fp = fold_fingerprint(self.fault_fp, m as u64);
-        self.fault_fp = fold_fingerprint(self.fault_fp, rec as u64);
-        self.fault_fp = fold_fingerprint(self.fault_fp, at.as_fs());
-        self.sink.instant(
-            "replace",
-            m as u32,
-            SCHED_ROW,
+        self.log.emit(FleetEvent::Replace {
+            machine: m,
+            rec,
             at,
-            rec as u64,
-            self.records[rec].tenant as u32,
-        );
+            tenant: self.records[rec].tenant,
+        });
         if self.records[rec].machines.is_empty() {
             // A deferred arrival is only now effectively admitted.
             self.records[rec].effective_arrival = at;
@@ -1567,13 +1475,13 @@ impl FleetEpisode {
                 0
             }
         };
-        self.fingerprint = fold_fingerprint(self.fingerprint, machine as u64);
-        self.fingerprint = fold_fingerprint(self.fingerprint, outcome.finished_at.as_fs());
         let finished = match self.reductions.get_mut(&rec) {
             Some(red) => {
                 red.parts_left -= 1;
                 red.end = red.end.max(outcome.finished_at);
                 if red.parts_left > 0 {
+                    self.log
+                        .emit(FleetEvent::Complete(machine, outcome.finished_at, None));
                     return;
                 }
                 // Barrier cleared: the k-split pays its all-reduce on the
@@ -1595,17 +1503,11 @@ impl FleetEpisode {
             None => outcome.finished_at,
         };
         self.records[rec].finished_at = Some(finished);
+        let done = Some(&self.records[rec]);
+        self.log
+            .emit(FleetEvent::Complete(machine, outcome.finished_at, done));
         self.jobs_completed += 1;
         self.last_finish = self.last_finish.max(finished);
-        self.fingerprint = fold_fingerprint(self.fingerprint, finished.as_fs());
-        self.sink.instant(
-            "job/done",
-            ROUTER_TRACK,
-            0,
-            finished,
-            self.records[rec].index as u64,
-            self.records[rec].tenant as u32,
-        );
         // Fleet-level SLO accounting: a job is good throughput iff it
         // finished within its (router-arrival-relative) deadline;
         // deadline-less jobs always count.
@@ -1638,7 +1540,7 @@ mod tests {
     }
 
     fn episode(machines: usize) -> FleetEpisode {
-        FleetEpisode::new(&ClusterSpec::uniform(machines, 2), 4)
+        FleetEpisode::new(&ClusterSpec::uniform(machines, 2), 4, TraceSink::off())
     }
 
     /// One episode whose machine 0 has routed a 100-flop job (record 0,

@@ -62,6 +62,7 @@
 #![deny(missing_docs)]
 
 pub mod cluster;
+mod event;
 pub mod report;
 pub mod spec;
 pub mod split;

@@ -4,14 +4,10 @@
 use std::fmt;
 
 use maco_serve::{JobSpec, ServeReport};
-use maco_sim::{SimDuration, SimTime, Stats};
+use maco_sim::{fold_fingerprint, SimDuration, SimTime, Stats};
 use maco_telemetry::Log2Histogram;
 
 use crate::spec::SplitKind;
-
-/// Re-export of the workspace-wide fingerprint fold (one implementation,
-/// shared by every determinism gate).
-pub use maco_sim::fold_fingerprint;
 
 /// One machine's outcome over a cluster episode.
 #[derive(Debug, Clone)]
@@ -64,6 +60,17 @@ pub(crate) fn merge_serve_reports(reports: Vec<ServeReport>) -> ServeReport {
         merged.fingerprint = fold_fingerprint(merged.fingerprint, r.fingerprint);
     }
     merged
+}
+
+/// The byte-metric fingerprint: every job's attributed bytes in record
+/// order, then every machine's total — pinned by the `placement_sfc` perf
+/// scenario.
+pub(crate) fn interconnect_fingerprint(records: &[JobRecord], machine_bytes: &[u64]) -> u64 {
+    records
+        .iter()
+        .map(|r| r.interconnect_bytes)
+        .chain(machine_bytes.iter().copied())
+        .fold(0, fold_fingerprint)
 }
 
 impl MachineReport {

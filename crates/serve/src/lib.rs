@@ -50,6 +50,7 @@
 //! # }
 //! ```
 
+mod event;
 pub mod job;
 pub mod replica;
 pub mod report;

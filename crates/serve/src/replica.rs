@@ -12,10 +12,11 @@
 use std::time::{Duration, Instant};
 
 use maco_core::system::{MacoSystem, SystemConfig};
+use maco_sim::fold_fingerprint;
 use maco_workloads::trace::TraceRequest;
 
 use crate::job::Tenant;
-use crate::report::{fold_fingerprint, ServeReport};
+use crate::report::ServeReport;
 use crate::server::{ServeConfig, ServeError, Server};
 
 /// Result of a replicated serving run.

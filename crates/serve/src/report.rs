@@ -8,11 +8,6 @@ use maco_telemetry::Log2Histogram;
 
 use crate::sched::Policy;
 
-/// Folds one value into an order-sensitive 64-bit fingerprint (re-exported
-/// from [`maco_sim::fold_fingerprint`], the one implementation every
-/// determinism gate in the workspace shares).
-pub use maco_sim::fold_fingerprint;
-
 /// Service observed by one tenant over an episode.
 #[derive(Debug, Clone)]
 pub struct TenantReport {
@@ -215,6 +210,7 @@ impl fmt::Display for ServeReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use maco_sim::fold_fingerprint;
 
     fn tenant(name: &str, flops: u64, weight: u32) -> TenantReport {
         TenantReport {

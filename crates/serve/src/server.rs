@@ -51,10 +51,11 @@ use maco_core::system::{InFlightGemm, MacoSystem, TaskAdmitError, TaskHeap};
 use maco_core::TranslateFault;
 use maco_sim::time::{earliest, FS_PER_NS};
 use maco_sim::{SimDuration, SimTime};
-use maco_telemetry::{Log2Histogram, TraceSink, SCHED_ROW};
+use maco_telemetry::{Log2Histogram, TraceSink};
 
+use crate::event::{EngineEvent, EngineLog};
 use crate::job::{validate_spec, AdmissionError, JobId, JobQueue, JobSpec, QueuedJob, Tenant};
-use crate::report::{fold_fingerprint, NodeLease, ServeReport, TenantReport};
+use crate::report::{NodeLease, ServeReport, TenantReport};
 use crate::sched::Policy;
 
 /// Serving-layer configuration.
@@ -374,16 +375,13 @@ pub struct Engine {
     wake: Option<SimTime>,
     /// Reusable gang-partition shape buffer (no per-layer allocation).
     shape_buf: Vec<(u64, u64, u64)>,
-    fingerprint: u64,
     last_finish: SimTime,
     jobs_completed: u64,
     jobs_rejected: u64,
     total_flops: u64,
-    /// Telemetry sink (off by default: every record call is a no-op and
-    /// the engine is bit-identical to an uninstrumented one).
-    sink: TraceSink,
-    /// This engine's trace track (the machine index in a fleet).
-    track: u32,
+    /// The schedule fingerprint and the trace sink: every job-lifecycle
+    /// event is folded and recorded through [`EngineLog::emit`].
+    log: EngineLog,
     /// Queue-depth samples, one per successful admission.
     queue_hist: Log2Histogram,
 }
@@ -446,13 +444,11 @@ impl Engine {
             leases: Vec::new(),
             wake: None,
             shape_buf: Vec::new(),
-            fingerprint: 0,
             last_finish: SimTime::ZERO,
             jobs_completed: 0,
             jobs_rejected: 0,
             total_flops: 0,
-            sink: TraceSink::off(),
-            track: 0,
+            log: EngineLog::new(),
             queue_hist: Log2Histogram::new(),
         }
     }
@@ -462,8 +458,7 @@ impl Engine {
     /// processes). The sink only observes — schedules and fingerprints are
     /// bit-identical whether it is on, off, or replaced mid-episode.
     pub fn set_trace(&mut self, sink: TraceSink, track: u32) {
-        self.sink = sink;
-        self.track = track;
+        self.log.attach(sink, track);
     }
 
     /// Feeds one future arrival into the engine and returns its *ticket*:
@@ -621,7 +616,7 @@ impl Engine {
             leases: self.leases,
             queue_depth_hist: self.queue_hist,
             machine_stats: system.stats_snapshot(),
-            fingerprint: self.fingerprint,
+            fingerprint: self.log.fingerprint(),
         }
     }
 
@@ -672,26 +667,12 @@ impl Engine {
             let was_running = !gang.is_empty();
             for lease in &mut self.leases[gang] {
                 lease.until = now;
-                self.sink.span(
-                    "lease",
-                    self.track,
-                    lease.node as u32,
-                    lease.from,
-                    now,
-                    ji as u64,
-                    lease.tenant as u32,
-                );
+                self.log.emit(EngineEvent::Lease(lease));
                 self.pool.release(lease.node, now);
             }
             let job = &self.jobs[ji];
-            self.sink.instant(
-                "job/evict",
-                self.track,
-                SCHED_ROW,
-                now,
-                ji as u64,
-                job.spec.tenant as u32,
-            );
+            self.log
+                .emit(EngineEvent::Evict(ji as u64, job.spec.tenant, now));
             evicted.push(EvictedJob {
                 id: JobId(ji as u64),
                 ticket: job.ticket,
@@ -710,14 +691,7 @@ impl Engine {
         }
         let mut next_id = self.jobs.len() as u64;
         while let Some((_, ticket, spec)) = self.pop_arrival() {
-            self.sink.instant(
-                "job/evict",
-                self.track,
-                SCHED_ROW,
-                now,
-                next_id,
-                spec.tenant as u32,
-            );
+            self.log.emit(EngineEvent::Evict(next_id, spec.tenant, now));
             evicted.push(EvictedJob {
                 id: JobId(next_id),
                 ticket,
@@ -755,14 +729,8 @@ impl Engine {
     /// clones a layer stream.
     fn submit(&mut self, ticket: u64, spec: JobSpec) {
         let would_be = self.jobs.len() as u64;
-        self.sink.instant(
-            "job/arrive",
-            self.track,
-            SCHED_ROW,
-            spec.arrival,
-            would_be,
-            spec.tenant as u32,
-        );
+        self.log
+            .emit(EngineEvent::Arrive(would_be, spec.tenant, spec.arrival));
         if spec.tenant < self.stats.len() {
             self.stats[spec.tenant].submitted += 1;
         }
@@ -771,14 +739,8 @@ impl Engine {
             if spec.tenant < self.stats.len() {
                 self.stats[spec.tenant].rejected += 1;
             }
-            self.sink.instant(
-                "job/reject",
-                self.track,
-                SCHED_ROW,
-                spec.arrival,
-                would_be,
-                spec.tenant as u32,
-            );
+            self.log
+                .emit(EngineEvent::Reject(would_be, spec.tenant, spec.arrival));
             return;
         }
         let id = JobId(self.jobs.len() as u64);
@@ -796,14 +758,8 @@ impl Engine {
         };
         match self.queue.admit(queued) {
             Ok(()) => {
-                self.sink.instant(
-                    "job/admit",
-                    self.track,
-                    SCHED_ROW,
-                    spec.arrival,
-                    id.0,
-                    spec.tenant as u32,
-                );
+                self.log
+                    .emit(EngineEvent::Admit(id.0, spec.tenant, spec.arrival));
                 self.queue_hist.record(self.queue.len() as u64);
                 self.jobs.push(Job {
                     flops_total,
@@ -819,14 +775,8 @@ impl Engine {
             Err(AdmissionError::QueueFull) => {
                 self.jobs_rejected += 1;
                 self.stats[spec.tenant].rejected += 1;
-                self.sink.instant(
-                    "job/reject",
-                    self.track,
-                    SCHED_ROW,
-                    spec.arrival,
-                    would_be,
-                    spec.tenant as u32,
-                );
+                self.log
+                    .emit(EngineEvent::Reject(would_be, spec.tenant, spec.arrival));
             }
             Err(_) => unreachable!("validated above"),
         }
@@ -904,14 +854,7 @@ impl Engine {
             });
             assert!(fits, "pick checked the fit");
             let ji = pick as usize;
-            self.sink.instant(
-                "job/dispatch",
-                self.track,
-                SCHED_ROW,
-                now,
-                pick,
-                tenant as u32,
-            );
+            self.log.emit(EngineEvent::Dispatch(pick, tenant, now));
             self.jobs[ji].leases = first..self.leases.len();
             self.begin_layer(system, ji, now)?;
         }
@@ -1012,25 +955,13 @@ impl Engine {
         let ji = done.job;
         // The member's MTQ entry was released as its task completed.
         self.mtq_held[self.asid_slot[self.jobs[ji].spec.tenant]] -= 1;
-        self.sink.span(
-            "layer",
-            self.track,
-            task.node() as u32,
-            done.layer_start,
-            member_end,
-            ji as u64,
-            self.jobs[ji].spec.tenant as u32,
-        );
-        self.fingerprint = [
-            self.jobs[ji].spec.tenant as u64,
-            done.layer as u64,
-            task.node() as u64,
-            done.layer_start.as_fs(),
-            member_end.as_fs(),
-        ]
-        .iter()
-        .fold(fold_fingerprint(self.fingerprint, ji as u64), |h, &x| {
-            fold_fingerprint(h, x)
+        self.log.emit(EngineEvent::Layer {
+            job: ji as u64,
+            tenant: self.jobs[ji].spec.tenant,
+            layer: done.layer,
+            node: task.node(),
+            from: done.layer_start,
+            until: member_end,
         });
         let job = &mut self.jobs[ji];
         job.members_left -= 1;
@@ -1065,25 +996,11 @@ impl Engine {
         let deadline_missed = job.spec.deadline.is_some_and(|d| latency > d);
         for lease in &mut self.leases[gang] {
             lease.until = layer_end;
-            self.sink.span(
-                "lease",
-                self.track,
-                lease.node as u32,
-                lease.from,
-                layer_end,
-                ji as u64,
-                tenant as u32,
-            );
+            self.log.emit(EngineEvent::Lease(lease));
             self.pool.release(lease.node, layer_end);
         }
-        self.sink.instant(
-            "job/complete",
-            self.track,
-            SCHED_ROW,
-            layer_end,
-            ji as u64,
-            tenant as u32,
-        );
+        self.log
+            .emit(EngineEvent::Complete(ji as u64, tenant, layer_end));
         self.jobs_completed += 1;
         self.last_finish = self.last_finish.max(layer_end);
         let st = &mut self.stats[tenant];
