@@ -13,7 +13,6 @@ use maco_sim::SimDuration;
 use maco_vm::matlb::TileAccessPattern;
 use maco_vm::page_table::{AddressSpace, PageFlags};
 use maco_vm::tlb::{Tlb, TlbEntry};
-use maco_vm::walker::PageTableWalker;
 use maco_vm::{PhysAddr, VirtAddr};
 
 fn bench_systolic(c: &mut Criterion) {
@@ -91,6 +90,8 @@ fn bench_tlb(c: &mut Criterion) {
 }
 
 fn bench_page_table(c: &mut Criterion) {
+    // 1024 pages mapped one by one to consecutive frames coalesce into one
+    // extent, as a GEMM region mapped by `map_range` does.
     c.bench_function("page_table/translate", |bench| {
         let mut space = AddressSpace::new();
         for i in 0..1024u64 {
@@ -146,12 +147,10 @@ fn bench_translate_pass(c: &mut Criterion, name: &str, n: u64, precision: Precis
     let mmae = Mmae::new(MmaeConfig::default());
     let pass = block_passes(n, n, n, &mmae.config().tiling)[0];
     let mut stlb = Tlb::new(1024);
-    let mut walker = PageTableWalker::new();
     let mut ctx = TranslationContext {
         asid: Asid::new(1),
         space: &space,
         stlb: &mut stlb,
-        walker: &mut walker,
         prediction: false,
         walk_read_latency: SimDuration::from_ps(1_550),
     };

@@ -20,6 +20,7 @@ use maco_isa::{Asid, Precision};
 use maco_mmae::Mmae;
 use maco_sim::SimTime;
 use maco_vm::page_table::TranslateFault;
+use maco_vm::PAGE_SIZE;
 
 use crate::system::{MacoSystem, NodeReport, SystemConfig, TaskAdmitError};
 
@@ -49,15 +50,20 @@ impl ComputeNode {
         self.system.cpu(0)
     }
 
-    /// Maps `[va, va+bytes)` in the node's address space. Mapping the same
-    /// `va` again only grows the region.
+    /// Maps the pages covering `[va, va+bytes)` in the node's address
+    /// space. Mapping the same `va` (or another address in its page) again
+    /// only grows the region.
     ///
     /// # Errors
     ///
     /// Propagates [`TranslateFault::AlreadyMapped`] on overlap with
     /// another region.
     pub fn map(&mut self, va: u64, bytes: u64) -> Result<(), TranslateFault> {
-        self.system.ensure_mapped(va, bytes)
+        if bytes == 0 {
+            return Ok(());
+        }
+        let offset = va % PAGE_SIZE;
+        self.system.ensure_mapped(va - offset, bytes + offset)
     }
 
     /// Full MPAIS round trip for a GEMM task on a fresh episode of the
@@ -137,6 +143,7 @@ impl ComputeNode {
 mod tests {
     use super::*;
     use maco_isa::ExceptionType;
+    use maco_vm::VirtAddr;
 
     fn params(n: u64) -> GemmParams {
         let bytes = n * n * 8;
@@ -188,6 +195,29 @@ mod tests {
         node.clear(maid).unwrap();
         assert_eq!(node.cpu().mtq().in_use(), 0);
         assert!(node.system.stq(0).is_empty(), "the STQ slot was released");
+    }
+
+    #[test]
+    fn unaligned_map_covers_its_pages_and_grows() {
+        let mut node = ComputeNode::new(Asid::new(1));
+        let va = 0x1000_1234;
+        node.map(va, 100).unwrap();
+        let space = node.system.space();
+        assert_eq!(space.mapped_pages(), 1);
+        let head = space.translate(VirtAddr::new(va)).unwrap();
+        assert_eq!(head.page_offset(), 0x234);
+        assert!(space.translate(VirtAddr::new(va + PAGE_SIZE)).is_err());
+
+        // Growing from the same address maps the pages after the first.
+        node.map(va, 2 * PAGE_SIZE).unwrap();
+        let space = node.system.space();
+        assert_eq!(space.mapped_pages(), 3);
+        assert_eq!(space.translate(VirtAddr::new(va)), Ok(head));
+        for tail in [va + PAGE_SIZE, va + 2 * PAGE_SIZE - 1] {
+            let pa = space.translate(VirtAddr::new(tail)).unwrap();
+            assert_eq!(pa.page_offset(), tail % PAGE_SIZE);
+        }
+        assert!(space.translate(VirtAddr::new(va + 3 * PAGE_SIZE)).is_err());
     }
 
     #[test]

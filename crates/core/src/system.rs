@@ -83,13 +83,13 @@ pub struct SystemConfig {
     pub dma_mshr: u64,
     /// Cross-node translation mirroring (wall-clock optimisation, on by
     /// default; demand translation only). Predictive translation is
-    /// closed-form and touches no sTLB or walker state, so with
+    /// closed-form and touches no sTLB state, so with
     /// [`SystemConfig::prediction`] on there is nothing to mirror and this
     /// flag has no effect. Without prediction, when several nodes have
     /// replayed *identical* pass translation histories — every node
     /// running the same independent GEMM — the exact page-stream
     /// simulation of a pass is performed once and its outcome (stream
-    /// counters plus the resulting sTLB/walker state, retagged per ASID)
+    /// counters plus the resulting sTLB state, retagged per ASID)
     /// transplanted to the other nodes. The mirror is cost-gated: only a
     /// pass whose exact replay costs more host time than transplanting
     /// the whole sTLB (its page touches weighed against the sTLB
@@ -373,7 +373,7 @@ impl MacoSystem {
         let mut stlb = (0u64, 0u64);
         let mut instructions = 0u64;
         for node in &self.nodes {
-            let (sh, sm) = node.cpu.mmu().stlb_stats();
+            let (sh, sm) = (node.cpu.stlb().hits(), node.cpu.stlb().misses());
             stlb = (stlb.0 + sh + sm, stlb.1 + sm);
             instructions += node.cpu.instructions_issued();
         }
@@ -407,8 +407,9 @@ impl MacoSystem {
     }
 
     /// Ensures `[base, base+bytes)` is mapped in the shared layout: a
-    /// region grows from `base` and is never remapped.
+    /// region grows from the page-aligned `base` and is never remapped.
     pub(crate) fn ensure_mapped(&mut self, base: u64, bytes: u64) -> Result<(), TranslateFault> {
+        debug_assert_eq!(base % PAGE_SIZE, 0, "a region starts on a page");
         let have = self.mapped.get(&base).copied().unwrap_or(0);
         if bytes <= have {
             return Ok(());
@@ -424,6 +425,12 @@ impl MacoSystem {
         self.next_frame += extra;
         self.mapped.insert(base, have + extra);
         Ok(())
+    }
+
+    /// The shared address space.
+    #[cfg(test)]
+    pub(crate) fn space(&self) -> &AddressSpace {
+        &self.space
     }
 
     /// Builds the GEMM descriptor for an `m×n×k` task in the shared layout.
@@ -1021,7 +1028,7 @@ impl MacoSystem {
     }
 
     /// Exact pass translation: closed-form with prediction, replayed
-    /// through the node's MMU-shared TLB and walker without.
+    /// through the node's MMU-shared TLB without.
     fn translate_pass_for(
         &mut self,
         node: usize,
@@ -1033,12 +1040,10 @@ impl MacoSystem {
         let walk_read = self.config.walk_read;
         let state = &mut self.nodes[node];
         let asid = state.asid;
-        let (stlb, walker) = state.cpu.mmu_mut().shared_parts_mut();
         let mut ctx = TranslationContext {
             asid,
             space: &self.space,
-            stlb,
-            walker,
+            stlb: state.cpu.stlb_mut(),
             prediction,
             walk_read_latency: walk_read,
         };
@@ -1053,7 +1058,7 @@ impl MacoSystem {
     ///
     /// Soundness rests on three invariants, each load-bearing:
     ///
-    /// * **Isomorphic histories.** A node's sTLB and walker are touched
+    /// * **Isomorphic histories.** A node's sTLB is touched
     ///   *only* by demand-mode `translate_pass_for` (the CPU's own L1 TLBs
     ///   are separate), so a chained hash over every `(params, pass)` a node
     ///   has translated fully determines its MMU state up to the ASID tag.
@@ -1094,9 +1099,7 @@ impl MacoSystem {
                 let counters = entry.counters;
                 let history_after = entry.history_after;
                 let state = &mut self.nodes[node];
-                let (stlb, walker) = state.cpu.mmu_mut().shared_parts_mut();
-                *stlb = entry.stlb.clone_retagged(state.asid);
-                *walker = entry.walker.clone();
+                *state.cpu.stlb_mut() = entry.stlb.clone_retagged(state.asid);
                 self.mirror.history[node] = Some(history_after);
                 self.passes.mirrored += 1;
                 return Ok(counters);
@@ -1122,12 +1125,9 @@ impl MacoSystem {
                         if self.mirror.cache.len() >= MIRROR_CACHE_CAP {
                             self.mirror.cache.clear();
                         }
-                        let state = &mut self.nodes[node];
-                        let (stlb, walker) = state.cpu.mmu_mut().shared_parts_mut();
                         let entry = MirrorEntry {
                             counters,
-                            stlb: stlb.clone(),
-                            walker: walker.clone(),
+                            stlb: self.nodes[node].cpu.stlb().clone(),
                             history_after,
                         };
                         self.mirror.cache.insert((h, sig), entry);
@@ -1212,13 +1212,13 @@ struct TranslationMirror {
 #[derive(Default)]
 struct PassCounters {
     /// Passes computed exactly: in closed form with prediction, replayed
-    /// page by page through a node's sTLB and walker without.
+    /// page by page through a node's sTLB without.
     exact: u64,
     /// Passes served from a run's [`TranslationMemo`].
     memo: u64,
     /// Passes transplanted from another node by the mirror.
     mirrored: u64,
-    /// sTLB/walker snapshots the mirror recorded.
+    /// sTLB snapshots the mirror recorded.
     snapshots: u64,
 }
 
@@ -1226,7 +1226,6 @@ struct PassCounters {
 struct MirrorEntry {
     counters: StreamTranslation,
     stlb: maco_vm::tlb::Tlb,
-    walker: maco_vm::walker::PageTableWalker,
     history_after: u64,
 }
 
@@ -1695,21 +1694,14 @@ mod tests {
         });
         assert_eq!(f(&mut mirrored), f(&mut plain), "reports must be identical");
         for i in 0..nodes {
-            // The transplanted MMU state must be indistinguishable: sTLB
-            // counters, walker counters, and every entry in LRU order.
-            let mut m = mirrored.nodes[i].cpu.mmu().clone();
-            let mut p = plain.nodes[i].cpu.mmu().clone();
-            let (m_stlb, m_walker) = m.shared_parts_mut();
-            let (p_stlb, p_walker) = p.shared_parts_mut();
+            // The transplanted sTLB must be indistinguishable: its
+            // counters and every entry in LRU order.
+            let m_stlb = mirrored.nodes[i].cpu.stlb();
+            let p_stlb = plain.nodes[i].cpu.stlb();
             assert_eq!(
                 (m_stlb.hits(), m_stlb.misses(), m_stlb.evictions()),
                 (p_stlb.hits(), p_stlb.misses(), p_stlb.evictions()),
                 "node {i} sTLB counters"
-            );
-            assert_eq!(
-                (m_walker.walks(), m_walker.faults()),
-                (p_walker.walks(), p_walker.faults()),
-                "node {i} walker counters"
             );
             assert!(
                 m_stlb.iter_mru().eq(p_stlb.iter_mru()),

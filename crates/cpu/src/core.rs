@@ -1,7 +1,7 @@
 //! The CPU core facade.
 //!
-//! Owns the Table I configuration, the MMU and the master task queue, and
-//! prices the MPAIS issue path: an `MA_CFG` is "a series of
+//! Owns the Table I configuration, the shared L2 TLB and the master task
+//! queue, and prices the MPAIS issue path: an `MA_CFG` is "a series of
 //! micro-operations (mops), such as requesting an available entry of the
 //! Master Task Queue … and sending the buffered parameters to the MMAE"
 //! (Section III.B).
@@ -10,9 +10,9 @@ use maco_isa::encoding::Mnemonic;
 use maco_isa::mtq::{Maid, MasterTaskQueue, MtqError, QueryOutcome};
 use maco_isa::{Asid, ExceptionType};
 use maco_sim::SimDuration;
+use maco_vm::tlb::Tlb;
 
 use crate::config::CpuConfig;
-use crate::mmu::Mmu;
 
 /// Cycles to execute one MPAIS instruction on the core (decode, register
 /// reads, MTQ access, request to the MMAE over the node interconnect).
@@ -22,7 +22,7 @@ pub const MPAIS_ISSUE_CYCLES: u64 = 24;
 #[derive(Debug, Clone)]
 pub struct CpuCore {
     config: CpuConfig,
-    mmu: Mmu,
+    stlb: Tlb,
     mtq: MasterTaskQueue,
     instructions_issued: u64,
 }
@@ -31,7 +31,7 @@ impl CpuCore {
     /// Creates a core from its configuration.
     pub fn new(config: CpuConfig) -> Self {
         CpuCore {
-            mmu: Mmu::new(&config),
+            stlb: Tlb::new(config.l2_tlb_entries),
             mtq: MasterTaskQueue::new(config.mtq_entries),
             config,
             instructions_issued: 0,
@@ -43,14 +43,14 @@ impl CpuCore {
         &self.config
     }
 
-    /// The MMU (shared-TLB interface for the MMAE lives here).
-    pub fn mmu_mut(&mut self) -> &mut Mmu {
-        &mut self.mmu
+    /// The shared L2 TLB ("sTLB", Fig. 2) the MMAE translates through.
+    pub fn stlb(&self) -> &Tlb {
+        &self.stlb
     }
 
-    /// Read access to the MMU (statistics inspection).
-    pub fn mmu(&self) -> &Mmu {
-        &self.mmu
+    /// Mutable sTLB access (the MMAE's demand translation fills it).
+    pub fn stlb_mut(&mut self) -> &mut Tlb {
+        &mut self.stlb
     }
 
     /// The master task queue.

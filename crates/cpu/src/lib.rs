@@ -7,16 +7,15 @@
 //!
 //! * [`config`] — the Table I microarchitectural parameters, printable as
 //!   the paper's table (`table1` harness).
-//! * [`mmu`] — the shared 1024-entry L2 TLB ("sTLB") and the walker, the
-//!   pair the MMAE borrows through customised interfaces (Fig. 2). Table I's
-//!   48-entry L1 I/D TLBs are listed by [`config`] but not modelled: they
-//!   serve only the core's own loads and stores.
 //! * [`kernels`] — roofline models of the non-GEMM workloads the GEMM⁺
 //!   mapping overlaps (normalisation, activation, softmax), and the blocked
 //!   CPU GEMM used by Fig. 8's Baseline-1.
-//! * [`core`] — the core facade: MPAIS issue timing and the master task
-//!   queue. Kernel and CPU-GEMM durations come from [`Kernel::time_on`] and
-//!   [`CpuGemmModel`] directly.
+//! * [`core`] — the core facade: MPAIS issue timing, the master task queue
+//!   and the shared 1024-entry L2 TLB ("sTLB") the MMAE borrows through
+//!   customised interfaces (Fig. 2). Table I's 48-entry L1 I/D TLBs are
+//!   listed by [`config`] but not modelled: they serve only the core's own
+//!   loads and stores. Kernel and CPU-GEMM durations come from
+//!   [`Kernel::time_on`] and [`CpuGemmModel`] directly.
 //!
 //! # Example
 //!
@@ -32,9 +31,7 @@
 pub mod config;
 pub mod core;
 pub mod kernels;
-pub mod mmu;
 
 pub use config::CpuConfig;
 pub use core::CpuCore;
 pub use kernels::{CpuGemmModel, Kernel};
-pub use mmu::Mmu;

@@ -1,4 +1,4 @@
-//! The DMA translation path: mATLB → shared TLB → page-table walker.
+//! The DMA translation path: mATLB → shared TLB → page-table walk.
 //!
 //! Every tile transfer touches a predictable page sequence
 //! ([`TileAccessPattern`]). With prediction enabled the mATLB pre-walks
@@ -9,9 +9,10 @@
 //!
 //! Predictive translation is computed in closed form: the page count
 //! comes from the pattern's geometry and faults from one mapped-range
-//! check, so it touches neither the shared TLB nor the walker (the
-//! pre-walks are off the critical path and have no timing effect). Only
-//! demand translation replays the stream page by page through the TLB.
+//! check, so it never touches the shared TLB (the pre-walks are off the
+//! critical path and have no timing effect). Only demand translation
+//! replays the stream page by page through the TLB, translating each
+//! miss in the address space.
 
 use maco_isa::Asid;
 use maco_sim::{FxHashMap, SimDuration};
@@ -19,7 +20,6 @@ use maco_vm::addr::WALK_LEVELS;
 use maco_vm::matlb::TileAccessPattern;
 use maco_vm::page_table::{AddressSpace, TranslateFault};
 use maco_vm::tlb::{Tlb, TlbEntry};
-use maco_vm::walker::PageTableWalker;
 
 use crate::tiling::BlockPass;
 
@@ -125,18 +125,16 @@ impl StreamTranslation {
 
 /// Mutable view over the translation machinery a DMA engine uses for one
 /// transfer: the process's address space and ASID, the CPU-shared TLB
-/// (Fig. 2's sTLB interface), the walker, and whether predictive
-/// translation (the mATLB) is enabled.
+/// (Fig. 2's sTLB interface), and whether predictive translation (the
+/// mATLB) is enabled.
 pub struct TranslationContext<'a> {
     /// Submitting process.
     pub asid: Asid,
-    /// The process's page tables.
+    /// The process's address space.
     pub space: &'a AddressSpace,
     /// The shared L2 TLB the MMAE accesses through its customised
     /// interface.
     pub stlb: &'a mut Tlb,
-    /// The hardware walker.
-    pub walker: &'a mut PageTableWalker,
     /// Predictive translation; `false` reproduces the "without
     /// prediction" configuration of Fig. 6.
     pub prediction: bool,
@@ -158,8 +156,8 @@ impl TranslationContext<'_> {
     /// path, so the stream never stalls and every page is an mATLB hit.
     /// The result follows from the pattern alone: the page count in closed
     /// form and, when the pattern's page span is mapped, no fault; the
-    /// sTLB and walker are not touched. Without prediction, every sTLB
-    /// miss stalls the stream for a full walk.
+    /// sTLB is not touched. Without prediction, every sTLB miss stalls
+    /// the stream for a full walk.
     ///
     /// # Errors
     ///
@@ -194,11 +192,10 @@ impl TranslationContext<'_> {
         let walk_latency = self.demand_walk_latency();
         let asid = self.asid;
         let space = self.space;
-        let walker = &mut *self.walker;
         for page in pattern.predicted_pages() {
             out.pages += 1;
             let (hit, _) = self.stlb.lookup_or_fill(asid, page.page_number(), || {
-                let (pa, flags) = walker.walk_frame(space, page)?;
+                let (pa, flags) = space.translate_with_flags(page)?;
                 Ok(TlbEntry {
                     frame: pa.frame_number(),
                     flags,
@@ -242,12 +239,10 @@ mod tests {
     fn without_prediction_cold_pages_stall() {
         let space = make_space(128);
         let mut stlb = Tlb::new(1024);
-        let mut walker = PageTableWalker::new();
         let mut ctx = TranslationContext {
             asid: Asid::new(1),
             space: &space,
             stlb: &mut stlb,
-            walker: &mut walker,
             prediction: false,
             walk_read_latency: SimDuration::from_ns(30),
         };
@@ -262,12 +257,10 @@ mod tests {
     fn without_prediction_warm_pages_hit_tlb() {
         let space = make_space(128);
         let mut stlb = Tlb::new(1024);
-        let mut walker = PageTableWalker::new();
         let mut ctx = TranslationContext {
             asid: Asid::new(1),
             space: &space,
             stlb: &mut stlb,
-            walker: &mut walker,
             prediction: false,
             walk_read_latency: SimDuration::from_ns(30),
         };
@@ -281,20 +274,17 @@ mod tests {
     fn with_prediction_no_stall_even_cold() {
         let space = make_space(128);
         let mut stlb = Tlb::new(1024);
-        let mut walker = PageTableWalker::new();
         let mut ctx = TranslationContext {
             asid: Asid::new(1),
             space: &space,
             stlb: &mut stlb,
-            walker: &mut walker,
             prediction: true,
             walk_read_latency: SimDuration::from_ns(30),
         };
         let tr = ctx.translate_stream(&pattern_rows(16)).unwrap();
         assert_eq!(tr.matlb_hits, 16, "prefetch hides every walk");
         assert_eq!(tr.stall, SimDuration::ZERO);
-        // The result is closed-form: the sTLB and walker are untouched.
-        assert_eq!(walker.walks(), 0);
+        // The result is closed-form: the sTLB is untouched.
         assert_eq!((stlb.hits(), stlb.misses()), (0, 0));
         assert!(stlb.probe(Asid::new(1), 0).is_none());
     }
@@ -302,15 +292,13 @@ mod tests {
     #[test]
     fn prediction_covers_streams_beyond_the_buffer_window() {
         // No prefetch buffer is modelled, so a stream longer than any
-        // buffer window never stalls and never reaches the walker.
+        // buffer window never stalls and never reaches the sTLB.
         let space = make_space(256);
         let mut stlb = Tlb::new(1024);
-        let mut walker = PageTableWalker::new();
         let mut ctx = TranslationContext {
             asid: Asid::new(1),
             space: &space,
             stlb: &mut stlb,
-            walker: &mut walker,
             prediction: true,
             walk_read_latency: SimDuration::from_ns(30),
         };
@@ -318,7 +306,6 @@ mod tests {
         assert_eq!(tr.matlb_hits, 32);
         assert_eq!(tr.demand_walks, 0);
         assert_eq!(tr.stall, SimDuration::ZERO);
-        assert_eq!(walker.walks(), 0, "no walk is replayed");
         assert_eq!(stlb.len(), 0);
     }
 
@@ -326,12 +313,10 @@ mod tests {
     fn unmapped_page_faults() {
         let space = make_space(4); // only 4 pages mapped
         let mut stlb = Tlb::new(64);
-        let mut walker = PageTableWalker::new();
         let mut ctx = TranslationContext {
             asid: Asid::new(1),
             space: &space,
             stlb: &mut stlb,
-            walker: &mut walker,
             prediction: false,
             walk_read_latency: SimDuration::from_ns(30),
         };
@@ -344,12 +329,10 @@ mod tests {
     fn prefetch_fault_reported_before_stream() {
         let space = make_space(4);
         let mut stlb = Tlb::new(64);
-        let mut walker = PageTableWalker::new();
         let mut ctx = TranslationContext {
             asid: Asid::new(1),
             space: &space,
             stlb: &mut stlb,
-            walker: &mut walker,
             prediction: true,
             walk_read_latency: SimDuration::from_ns(30),
         };
@@ -362,12 +345,10 @@ mod tests {
         // repeated passes keep missing, exactly the n ≥ 1024 regime.
         let space = make_space(128);
         let mut stlb = Tlb::new(16);
-        let mut walker = PageTableWalker::new();
         let mut ctx = TranslationContext {
             asid: Asid::new(1),
             space: &space,
             stlb: &mut stlb,
-            walker: &mut walker,
             prediction: false,
             walk_read_latency: SimDuration::from_ns(30),
         };

@@ -1,17 +1,16 @@
 //! # maco-sim — discrete-event simulation kernel
 //!
-//! The foundation of the MACO reproduction: a deterministic, single-threaded
-//! discrete-event simulation (DES) kernel. Every other crate in the workspace
-//! expresses hardware behaviour as state machines driven by events scheduled
-//! through this kernel.
+//! The foundation of the MACO reproduction: the simulated-time types, the
+//! shared-resource queuing models and the deterministic helpers every
+//! other crate builds on. Each crate keeps its own event order (the core's
+//! task heap, the serve engine's ready queue and arrival heap, the fleet's
+//! fault schedule); this crate holds none.
 //!
-//! The kernel provides:
+//! It provides:
 //!
-//! * [`SimTime`] / [`SimDuration`] — picosecond-resolution simulated time.
+//! * [`SimTime`] / [`SimDuration`] — femtosecond-resolution simulated time.
 //! * [`ClockDomain`] — cycle↔time conversion for the paper's three clock
 //!   domains (CPU 2.2 GHz, MMAE 2.5 GHz, NoC 2.0 GHz).
-//! * [`EventQueue`] — a deterministic priority queue of typed events with
-//!   FIFO tie-breaking, so identical runs produce identical traces.
 //! * [`Stats`] — named counters and scalar gauges used by every component to
 //!   report utilisation, hit rates and traffic.
 //! * [`BandwidthResource`] / [`LatencyBandwidthResource`] — queuing models
@@ -26,21 +25,16 @@
 //! # Example
 //!
 //! ```
-//! use maco_sim::{EventQueue, SimTime, ClockDomain};
-//!
-//! #[derive(Debug, PartialEq)]
-//! enum Ev { Ping, Pong }
+//! use maco_sim::{ClockDomain, LatencyBandwidthResource, SimDuration, SimTime};
 //!
 //! let clk = ClockDomain::from_ghz(2.5);
-//! let mut q = EventQueue::new();
-//! q.schedule(SimTime::ZERO + clk.cycles(10), Ev::Ping);
-//! q.schedule(SimTime::ZERO + clk.cycles(4), Ev::Pong);
-//! let (t, ev) = q.pop().expect("event");
-//! assert_eq!(ev, Ev::Pong);
-//! assert_eq!(clk.cycles_at(t), 4);
+//! let mut port = LatencyBandwidthResource::new(SimDuration::from_ns(20), 1.0);
+//! // Two 60-byte transfers queue on the port's 1 GB/s bandwidth.
+//! let first = port.access(SimTime::ZERO + clk.cycles(10), 60);
+//! let second = port.access(SimTime::ZERO + clk.cycles(10), 60);
+//! assert_eq!(second.since(first), SimDuration::from_ns(60));
 //! ```
 
-pub mod events;
 pub mod hash;
 pub mod resource;
 pub mod rng;
@@ -48,9 +42,8 @@ pub mod stats;
 pub mod time;
 pub mod timeline;
 
-pub use events::EventQueue;
 pub use hash::{fold_fingerprint, FxBuildHasher, FxHashMap, FxHasher};
-pub use resource::{BandwidthResource, LatencyBandwidthResource, ThroughputMeter};
+pub use resource::{BandwidthResource, LatencyBandwidthResource};
 pub use rng::SplitMix64;
 pub use stats::Stats;
 pub use time::{ClockDomain, SimDuration, SimTime};

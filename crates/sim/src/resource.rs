@@ -187,40 +187,6 @@ impl LatencyBandwidthResource {
     }
 }
 
-/// Sliding-total throughput meter: accumulates byte counts and converts to
-/// average GB/s over an interval. Used by the harnesses to report achieved
-/// NoC and DRAM bandwidth next to the paper's capacity figures.
-#[derive(Debug, Clone, Default)]
-pub struct ThroughputMeter {
-    bytes: u64,
-}
-
-impl ThroughputMeter {
-    /// Creates an empty meter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records `bytes` transferred.
-    pub fn record(&mut self, bytes: u64) {
-        self.bytes += bytes;
-    }
-
-    /// Total bytes recorded.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Average throughput in GB/s over `elapsed`.
-    pub fn gbps(&self, elapsed: SimDuration) -> f64 {
-        if elapsed.is_zero() {
-            0.0
-        } else {
-            self.bytes as f64 / elapsed.as_ns()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -261,16 +227,6 @@ mod tests {
                                                  // Second access queues on bandwidth but overlaps latency.
         let done2 = r.access(SimTime::ZERO, 60);
         assert_eq!(done2, SimTime::from_ns(160));
-    }
-
-    #[test]
-    fn throughput_meter_averages() {
-        let mut m = ThroughputMeter::new();
-        m.record(1_000);
-        m.record(1_000);
-        assert_eq!(m.bytes(), 2_000);
-        assert!((m.gbps(SimDuration::from_ns(1_000)) - 2.0).abs() < 1e-9);
-        assert_eq!(m.gbps(SimDuration::ZERO), 0.0);
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! MACO uses 4 KB pages (Section IV.A fixes "the page table size is 4KB" in
 //! the predictive-translation example, and the Fig. 6 experiments keep "a
-//! uniform page size … 4KB"). Virtual addresses are 48-bit, translated by a
-//! 4-level radix table with 9 index bits per level — the ARMv8 4 KB granule
-//! layout.
+//! uniform page size … 4KB"). Virtual addresses are 48-bit; a hardware walk
+//! of the ARMv8 4 KB-granule tables reads one descriptor at each of four
+//! levels, which is what a demand miss costs.
 
 use std::fmt;
 use std::ops::{Add, Sub};
@@ -13,13 +13,9 @@ use std::ops::{Add, Sub};
 pub const PAGE_SHIFT: u32 = 12;
 /// Page size in bytes (4 KB).
 pub const PAGE_SIZE: u64 = 1 << PAGE_SHIFT;
-/// Number of radix levels in a translation walk.
+/// Dependent descriptor reads in one page-table walk.
 pub const WALK_LEVELS: usize = 4;
-/// Index bits per level.
-pub const LEVEL_BITS: u32 = 9;
-/// Entries per page-table node.
-pub const ENTRIES_PER_TABLE: usize = 1 << LEVEL_BITS;
-/// Virtual address width covered by the walk (9·4 + 12 = 48 bits).
+/// Virtual address width (9 index bits × 4 levels + 12 = 48 bits).
 pub const VA_BITS: u32 = 48;
 
 /// A virtual address.
@@ -66,17 +62,6 @@ impl VirtAddr {
     /// Offset within the page.
     pub const fn page_offset(self) -> u64 {
         self.0 & (PAGE_SIZE - 1)
-    }
-
-    /// Radix index at translation `level` (0 = root … 3 = leaf).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `level ≥ 4`.
-    pub fn level_index(self, level: usize) -> usize {
-        assert!(level < WALK_LEVELS, "level {level} out of range");
-        let shift = PAGE_SHIFT + LEVEL_BITS * (WALK_LEVELS - 1 - level) as u32;
-        ((self.0 >> shift) & ((1 << LEVEL_BITS) - 1)) as usize
     }
 
     /// Number of distinct pages covered by `[self, self + bytes)`.
@@ -173,17 +158,6 @@ mod tests {
         let va = VirtAddr::new(0x12345);
         assert_eq!(va.page_number(), 0x12);
         assert_eq!(va.page_offset(), 0x345);
-    }
-
-    #[test]
-    fn level_indices_cover_48_bits() {
-        // VA with a distinct 9-bit pattern at each level.
-        let va = VirtAddr::new((1 << 39) | (2 << 30) | (3 << 21) | (4 << 12) | 5);
-        assert_eq!(va.level_index(0), 1);
-        assert_eq!(va.level_index(1), 2);
-        assert_eq!(va.level_index(2), 3);
-        assert_eq!(va.level_index(3), 4);
-        assert_eq!(va.page_offset(), 5);
     }
 
     #[test]

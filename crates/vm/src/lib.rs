@@ -5,20 +5,20 @@
 //! crate implements everything address-translation related:
 //!
 //! * [`addr`] — virtual/physical address newtypes and 4 KB page geometry.
-//! * [`page_table`] — ARMv8-style 4-level radix page tables stored in
-//!   simulated physical memory, so a page-table walk has concrete memory
-//!   addresses (and therefore concrete latencies) at every level.
+//! * [`page_table`] — a process's address space as coalesced mapped
+//!   extents: translation, permissions and the mapped-range check. A
+//!   demand walk's timing is four dependent reads of a fixed latency
+//!   ([`addr::WALK_LEVELS`]), priced by the caller, so the descriptor
+//!   tree itself is not modelled.
 //! * [`tlb`] — an LRU translation look-aside buffer, used for the CPU's
 //!   1024-entry shared L2 TLB (Table I) that the MMAE borrows.
-//! * [`walker`] — the page-table walker producing both the translation and
-//!   the list of memory reads it performed (for timing).
 //! * [`matlb`] — the paper's **predictive address translation** unit
 //!   (Section IV.A, Fig. 4): the tile geometry fixes, ahead of time, the
 //!   virtual pages a DMA stream will touch, so the pages are pre-walked
 //!   and the DMA engines never stall on a walk. The page count and span
 //!   come in closed form from the pattern.
 //!
-//! # Example: translating through a page table
+//! # Example: translating through an address space
 //!
 //! ```
 //! use maco_vm::page_table::{AddressSpace, PageFlags};
@@ -37,10 +37,8 @@ pub mod addr;
 pub mod matlb;
 pub mod page_table;
 pub mod tlb;
-pub mod walker;
 
 pub use addr::{PhysAddr, VirtAddr, PAGE_SHIFT, PAGE_SIZE};
 pub use matlb::TileAccessPattern;
 pub use page_table::{AddressSpace, PageFlags, TranslateFault};
 pub use tlb::{Tlb, TlbEntry};
-pub use walker::{PageTableWalker, WalkResult};

@@ -1,18 +1,18 @@
-//! Four-level radix page tables.
+//! A process's address space as coalesced mapped extents.
 //!
-//! An [`AddressSpace`] owns a real radix tree stored in a simulated table
-//! memory: every node is a 512-entry array of descriptors living at a
-//! concrete physical address. This matters for the reproduction because the
-//! page-table walker's four dependent reads each have a *location* whose
-//! access latency the memory hierarchy can price — the cost the mATLB hides
-//! in Fig. 6.
+//! An [`AddressSpace`] holds its mappings as one ordered map of extents:
+//! first virtual page → (one past the last page, first frame, flags).
+//! Translation, permission checks and the mapped-range check all read that
+//! one map. The page-table walk the MMAE's demand misses expose is priced
+//! by the caller as four dependent descriptor reads of a fixed latency
+//! (`SystemConfig::walk_read` × [`crate::addr::WALK_LEVELS`]); no
+//! descriptor address is ever needed, so the descriptor tree is not
+//! modelled.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::addr::{
-    PhysAddr, VirtAddr, ENTRIES_PER_TABLE, LEVEL_BITS, PAGE_SHIFT, PAGE_SIZE, WALK_LEVELS,
-};
+use crate::addr::{PhysAddr, VirtAddr, PAGE_SHIFT};
 
 /// Access permissions attached to a leaf mapping.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -45,12 +45,10 @@ impl PageFlags {
 /// exceptions through the MTQ.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TranslateFault {
-    /// No valid descriptor at the given walk level (0 = root).
+    /// No mapping for the page.
     NotMapped {
         /// The faulting virtual address.
         va: VirtAddr,
-        /// The level at which the walk found an invalid descriptor.
-        level: usize,
     },
     /// Mapping exists but lacks write permission.
     NotWritable {
@@ -67,9 +65,7 @@ pub enum TranslateFault {
 impl fmt::Display for TranslateFault {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            TranslateFault::NotMapped { va, level } => {
-                write!(f, "no translation for {va} (walk level {level})")
-            }
+            TranslateFault::NotMapped { va } => write!(f, "no translation for {va}"),
             TranslateFault::NotWritable { va } => write!(f, "{va} is not writable"),
             TranslateFault::AlreadyMapped { va } => write!(f, "{va} is already mapped"),
         }
@@ -78,46 +74,17 @@ impl fmt::Display for TranslateFault {
 
 impl std::error::Error for TranslateFault {}
 
-/// Descriptor stored in a table node: valid bit, write bit, next-level (or
-/// leaf frame) physical frame number.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct Descriptor(u64);
-
-impl Descriptor {
-    const VALID: u64 = 1;
-    const WRITE: u64 = 2;
-
-    fn table(frame: u64) -> Self {
-        Descriptor(Self::VALID | (frame << 12))
-    }
-
-    fn leaf(frame: u64, flags: PageFlags) -> Self {
-        let mut d = Self::VALID | (frame << 12);
-        if flags.write {
-            d |= Self::WRITE;
-        }
-        Descriptor(d)
-    }
-
-    fn is_valid(self) -> bool {
-        self.0 & Self::VALID != 0
-    }
-
-    fn is_writable(self) -> bool {
-        self.0 & Self::WRITE != 0
-    }
-
-    fn frame(self) -> u64 {
-        self.0 >> 12
-    }
+/// A run of pages mapped to consecutive frames with one set of flags.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Extent {
+    /// One past the last page.
+    end: u64,
+    /// Frame of the first page.
+    frame: u64,
+    flags: PageFlags,
 }
 
-/// Physical region where table nodes are allocated. Choosing a high base
-/// keeps table frames disjoint from data frames handed out by the frame
-/// allocator in `maco-mem`.
-pub const TABLE_REGION_BASE: u64 = 0x40_0000_0000;
-
-/// A per-process address space backed by a 4-level radix table.
+/// A per-process address space.
 ///
 /// # Example
 ///
@@ -137,43 +104,23 @@ pub const TABLE_REGION_BASE: u64 = 0x40_0000_0000;
 /// }
 /// let pa = space.translate(VirtAddr::new(2 * PAGE_SIZE + 0x80))?;
 /// assert_eq!(pa.raw(), 0x10_0000 + 2 * PAGE_SIZE + 0x80);
+/// assert!(space.range_mapped(0, 3));
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct AddressSpace {
-    /// Table nodes; index 0 is the root.
-    tables: Vec<Box<[Descriptor; ENTRIES_PER_TABLE]>>,
+    /// First page → extent. Extents are disjoint, and two that abut are
+    /// never both frame-adjacent and equal in flags: such neighbours are
+    /// merged into one.
+    extents: BTreeMap<u64, Extent>,
     mapped_pages: u64,
-    /// The mapped pages as coalesced runs: first page number → one past
-    /// the last. Runs are disjoint and never adjacent, so a fully mapped
-    /// page range lies inside exactly one run.
-    runs: BTreeMap<u64, u64>,
-    /// One-entry walk memo: leaf-region tag (`va` shifted past the leaf
-    /// index, `PAGE_SHIFT + LEVEL_BITS` bits) → the three
-    /// non-root node indices of its descriptor path. Sound with no
-    /// invalidation: table nodes are append-only and an upper-level
-    /// descriptor, once valid, never changes (only leaf descriptors are
-    /// cleared by `unmap`), so a resolved path stays resolved. `Cell`
-    /// interior mutability keeps the walk API `&self`; the simulator is
-    /// single-threaded throughout.
-    walk_memo: std::cell::Cell<Option<(u64, [u32; WALK_LEVELS - 1])>>,
 }
 
 impl AddressSpace {
-    /// Creates an empty address space with an allocated root table.
+    /// Creates an empty address space.
     pub fn new() -> Self {
-        AddressSpace {
-            tables: vec![new_node()],
-            mapped_pages: 0,
-            runs: BTreeMap::new(),
-            walk_memo: std::cell::Cell::new(None),
-        }
-    }
-
-    /// Physical address of the root table (for walkers).
-    pub fn root(&self) -> PhysAddr {
-        self.table_addr(0)
+        AddressSpace::default()
     }
 
     /// Number of mapped 4 KB pages.
@@ -181,44 +128,33 @@ impl AddressSpace {
         self.mapped_pages
     }
 
-    /// Number of allocated table nodes (root included) — the table-memory
-    /// footprint is `table_count() * 4 KB`.
-    pub fn table_count(&self) -> usize {
-        self.tables.len()
-    }
-
     /// Maps the page containing `va` to the frame containing `pa`.
     ///
     /// # Errors
     ///
-    /// Returns [`TranslateFault::AlreadyMapped`] if the page already has a
-    /// valid leaf.
+    /// Returns [`TranslateFault::AlreadyMapped`] if the page is already
+    /// mapped.
     pub fn map(
         &mut self,
         va: VirtAddr,
         pa: PhysAddr,
         flags: PageFlags,
     ) -> Result<(), TranslateFault> {
-        let node = self.leaf_table(va);
-        let leaf_idx = va.level_index(WALK_LEVELS - 1);
-        if self.tables[node][leaf_idx].is_valid() {
+        let vpn = va.page_number();
+        if self.extent_at(vpn).is_some() {
             return Err(TranslateFault::AlreadyMapped { va });
         }
-        self.tables[node][leaf_idx] = Descriptor::leaf(pa.frame_number(), flags);
-        self.mapped_pages += 1;
-        self.insert_run(va.page_number(), va.page_number() + 1);
+        self.insert(vpn, vpn + 1, pa.frame_number(), flags);
         Ok(())
     }
 
     /// Maps `bytes` starting at `va` to consecutive frames starting at `pa`.
-    /// Both addresses must be page-aligned. The upper path is resolved once
-    /// per leaf table, not once per page; table nodes are allocated in the
-    /// same order as by page-wise [`AddressSpace::map`].
+    /// Both addresses must be page-aligned.
     ///
     /// # Errors
     ///
     /// Returns [`TranslateFault::AlreadyMapped`] for the first page that
-    /// already has a valid leaf; the pages before it stay mapped, as with
+    /// is already mapped; the pages before it stay mapped, as with
     /// page-wise [`AddressSpace::map`].
     ///
     /// # Panics
@@ -236,109 +172,118 @@ impl AddressSpace {
         assert_eq!(pa.page_offset(), 0, "pa must be page-aligned");
         let first = va.page_number();
         let end = first + va.pages_spanned(bytes);
-        let frame0 = pa.frame_number();
-        let mut vpn = first;
-        let mut result = Ok(());
-        'leaves: while vpn < end {
-            let node = self.leaf_table(VirtAddr::new(vpn << PAGE_SHIFT));
-            let idx = (vpn % ENTRIES_PER_TABLE as u64) as usize;
-            let count = (ENTRIES_PER_TABLE - idx).min((end - vpn) as usize);
-            for slot in &mut self.tables[node][idx..idx + count] {
-                if slot.is_valid() {
-                    result = Err(TranslateFault::AlreadyMapped {
-                        va: VirtAddr::new(vpn << PAGE_SHIFT),
-                    });
-                    break 'leaves;
-                }
-                *slot = Descriptor::leaf(frame0 + (vpn - first), flags);
-                vpn += 1;
-            }
+        // The first mapped page of the range: `first` itself, or the start
+        // of the first extent beginning inside the range.
+        let conflict = if self.extent_at(first).is_some() {
+            Some(first)
+        } else {
+            self.extents
+                .range(first..end)
+                .next()
+                .map(|(&start, _)| start)
+        };
+        let mapped_end = conflict.unwrap_or(end);
+        if mapped_end > first {
+            self.insert(first, mapped_end, pa.frame_number(), flags);
         }
-        self.mapped_pages += vpn - first;
-        if vpn > first {
-            self.insert_run(first, vpn);
+        match conflict {
+            Some(vpn) => Err(TranslateFault::AlreadyMapped {
+                va: VirtAddr::new(vpn << PAGE_SHIFT),
+            }),
+            None => Ok(()),
         }
-        result
     }
 
     /// Whether every page from `lo_vpn` to `hi_vpn` (inclusive page
-    /// numbers) is mapped: one lookup in the coalesced mapped runs.
+    /// numbers) is mapped: one lookup when one extent holds the span,
+    /// otherwise a step across each extent that abuts the previous one.
+    #[inline]
     pub fn range_mapped(&self, lo_vpn: u64, hi_vpn: u64) -> bool {
-        self.runs
-            .range(..=lo_vpn)
-            .next_back()
-            .is_some_and(|(_, &end)| end > hi_vpn)
-    }
-
-    /// The leaf table covering `va`, allocating missing upper-level nodes
-    /// on the way down.
-    fn leaf_table(&mut self, va: VirtAddr) -> usize {
-        let mut node = 0usize;
-        for level in 0..WALK_LEVELS - 1 {
-            let idx = va.level_index(level);
-            let desc = self.tables[node][idx];
-            node = if desc.is_valid() {
-                desc.frame() as usize
-            } else {
-                let next = self.tables.len();
-                self.tables.push(new_node());
-                self.tables[node][idx] = Descriptor::table(next as u64);
-                next
-            };
+        match self.extent_at(lo_vpn) {
+            Some((_, first)) if first.end > hi_vpn => true,
+            Some((_, first)) => self.abutting_extents_reach(first.end, hi_vpn),
+            None => false,
         }
-        node
     }
 
-    /// Records the newly mapped pages `[lo, hi)`, which touch no existing
-    /// run, merging them with the runs ending at `lo` and starting at `hi`.
-    fn insert_run(&mut self, mut lo: u64, mut hi: u64) {
-        if let Some((&start, &end)) = self.runs.range(..lo).next_back() {
-            if end == lo {
+    /// Whether the extents from page `end` on, each starting where the one
+    /// before it ends, reach past `hi_vpn`.
+    #[cold]
+    fn abutting_extents_reach(&self, mut end: u64, hi_vpn: u64) -> bool {
+        for (&start, extent) in self.extents.range(end..) {
+            if start != end {
+                return false;
+            }
+            end = extent.end;
+            if end > hi_vpn {
+                return true;
+            }
+        }
+        false
+    }
+
+    /// The extent holding page `vpn`, with its first page.
+    fn extent_at(&self, vpn: u64) -> Option<(u64, &Extent)> {
+        self.extents
+            .range(..=vpn)
+            .next_back()
+            .filter(|(_, extent)| extent.end > vpn)
+            .map(|(&start, extent)| (start, extent))
+    }
+
+    /// Records the newly mapped pages `[lo, hi)` → frames from `frame`,
+    /// which overlap no extent, merging them with the extent ending at `lo`
+    /// and the one starting at `hi` where frames and flags continue.
+    fn insert(&mut self, mut lo: u64, mut hi: u64, mut frame: u64, flags: PageFlags) {
+        self.mapped_pages += hi - lo;
+        if let Some((&start, before)) = self.extents.range(..lo).next_back() {
+            if before.end == lo && before.frame + (lo - start) == frame && before.flags == flags {
+                frame = before.frame;
                 lo = start;
             }
         }
-        if let Some(end) = self.runs.remove(&hi) {
-            hi = end;
+        if let Some(after) = self.extents.get(&hi).copied() {
+            if after.frame == frame + (hi - lo) && after.flags == flags {
+                self.extents.remove(&hi);
+                hi = after.end;
+            }
         }
-        self.runs.insert(lo, hi);
+        self.extents.insert(
+            lo,
+            Extent {
+                end: hi,
+                frame,
+                flags,
+            },
+        );
     }
 
-    /// Removes the mapping for the page containing `va`.
+    /// Removes the mapping for the page containing `va`, splitting its
+    /// extent around it.
     ///
     /// # Errors
     ///
     /// Returns [`TranslateFault::NotMapped`] if nothing was mapped.
     pub fn unmap(&mut self, va: VirtAddr) -> Result<(), TranslateFault> {
-        let mut node = 0usize;
-        for level in 0..WALK_LEVELS - 1 {
-            let desc = self.tables[node][va.level_index(level)];
-            if !desc.is_valid() {
-                return Err(TranslateFault::NotMapped { va, level });
-            }
-            node = desc.frame() as usize;
-        }
-        let leaf_idx = va.level_index(WALK_LEVELS - 1);
-        if !self.tables[node][leaf_idx].is_valid() {
-            return Err(TranslateFault::NotMapped {
-                va,
-                level: WALK_LEVELS - 1,
-            });
-        }
-        self.tables[node][leaf_idx] = Descriptor::default();
-        self.mapped_pages -= 1;
         let vpn = va.page_number();
-        let (&start, &end) = self
-            .runs
-            .range(..=vpn)
-            .next_back()
-            .expect("a mapped page lies in a run");
+        let (start, extent) = match self.extent_at(vpn) {
+            Some((start, &extent)) => (start, extent),
+            None => return Err(TranslateFault::NotMapped { va }),
+        };
+        self.mapped_pages -= 1;
         if start < vpn {
-            self.runs.insert(start, vpn);
+            self.extents.insert(start, Extent { end: vpn, ..extent });
         } else {
-            self.runs.remove(&start);
+            self.extents.remove(&start);
         }
-        if vpn + 1 < end {
-            self.runs.insert(vpn + 1, end);
+        if vpn + 1 < extent.end {
+            self.extents.insert(
+                vpn + 1,
+                Extent {
+                    frame: extent.frame + (vpn + 1 - start),
+                    ..extent
+                },
+            );
         }
         Ok(())
     }
@@ -347,92 +292,30 @@ impl AddressSpace {
     ///
     /// # Errors
     ///
-    /// Returns [`TranslateFault::NotMapped`] when any walk level is invalid.
+    /// Returns [`TranslateFault::NotMapped`] when the page is not mapped.
     pub fn translate(&self, va: VirtAddr) -> Result<PhysAddr, TranslateFault> {
         self.translate_with_flags(va).map(|(pa, _)| pa)
     }
 
-    /// Translates and returns the leaf permissions.
+    /// Translates and returns the page's permissions.
     ///
     /// # Errors
     ///
-    /// Returns [`TranslateFault::NotMapped`] when any walk level is invalid.
+    /// Returns [`TranslateFault::NotMapped`] when the page is not mapped.
+    #[inline]
     pub fn translate_with_flags(
         &self,
         va: VirtAddr,
     ) -> Result<(PhysAddr, PageFlags), TranslateFault> {
-        self.resolve(va).map(|(_, pa, flags)| (pa, flags))
-    }
-
-    /// Fused functional walk: the translation *and* the four descriptor
-    /// read addresses of [`AddressSpace::walk_path`] in a single
-    /// traversal, accelerated by the per-region walk memo (a DMA page
-    /// stream touches runs of pages sharing one leaf table, so steady
-    /// state resolves just the leaf descriptor). Behaviour is identical to
-    /// `translate_with_flags` + `walk_path`: same faults, same addresses.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TranslateFault::NotMapped`] when any walk level is invalid.
-    #[allow(clippy::type_complexity)] // (pa, flags, reads) of one walk
-    pub fn walk_with_path(
-        &self,
-        va: VirtAddr,
-    ) -> Result<(PhysAddr, PageFlags, [PhysAddr; WALK_LEVELS]), TranslateFault> {
-        let (nodes, pa, flags) = self.resolve(va)?;
-        let leaf_idx = va.level_index(WALK_LEVELS - 1);
-        let reads = [
-            self.table_addr(0) + (va.level_index(0) as u64 * 8),
-            self.table_addr(nodes[0] as usize) + (va.level_index(1) as u64 * 8),
-            self.table_addr(nodes[1] as usize) + (va.level_index(2) as u64 * 8),
-            self.table_addr(nodes[WALK_LEVELS - 2] as usize) + (leaf_idx as u64 * 8),
-        ];
-        Ok((pa, flags, reads))
-    }
-
-    /// Shared walk core: the upper node path (memoised per region) plus
-    /// the leaf translation.
-    #[inline]
-    #[allow(clippy::type_complexity)]
-    fn resolve(
-        &self,
-        va: VirtAddr,
-    ) -> Result<([u32; WALK_LEVELS - 1], PhysAddr, PageFlags), TranslateFault> {
-        // Everything above the leaf index: the VA bits that select the
-        // upper node path. One leaf table covers 2^(PAGE_SHIFT+LEVEL_BITS)
-        // bytes.
-        let region = va.raw() >> (PAGE_SHIFT + LEVEL_BITS);
-        let nodes = match self.walk_memo.get() {
-            Some((tag, nodes)) if tag == region => nodes,
-            _ => {
-                let mut nodes = [0u32; WALK_LEVELS - 1];
-                let mut node = 0usize;
-                for (level, slot) in nodes.iter_mut().enumerate() {
-                    let desc = self.tables[node][va.level_index(level)];
-                    if !desc.is_valid() {
-                        return Err(TranslateFault::NotMapped { va, level });
-                    }
-                    node = desc.frame() as usize;
-                    *slot = node as u32;
-                }
-                self.walk_memo.set(Some((region, nodes)));
-                nodes
-            }
-        };
-        let leaf_node = nodes[WALK_LEVELS - 2] as usize;
-        let desc = self.tables[leaf_node][va.level_index(WALK_LEVELS - 1)];
-        if !desc.is_valid() {
-            return Err(TranslateFault::NotMapped {
-                va,
-                level: WALK_LEVELS - 1,
-            });
-        }
-        let pa = PhysAddr::new((desc.frame() << 12) | va.page_offset());
-        let flags = PageFlags {
-            read: true,
-            write: desc.is_writable(),
-        };
-        Ok((nodes, pa, flags))
+        let vpn = va.page_number();
+        let (start, extent) = self
+            .extent_at(vpn)
+            .ok_or(TranslateFault::NotMapped { va })?;
+        let frame = extent.frame + (vpn - start);
+        Ok((
+            PhysAddr::new((frame << PAGE_SHIFT) | va.page_offset()),
+            extent.flags,
+        ))
     }
 
     /// Translates for a write access, checking permissions.
@@ -448,47 +331,12 @@ impl AddressSpace {
         }
         Ok(pa)
     }
-
-    /// The physical addresses of the descriptors a walker reads to
-    /// translate `va`, in walk order — the four dependent loads whose
-    /// latency the mATLB hides.
-    pub fn walk_path(&self, va: VirtAddr) -> [PhysAddr; WALK_LEVELS] {
-        let mut path = [PhysAddr::new(0); WALK_LEVELS];
-        let mut node = 0usize;
-        for (level, slot) in path.iter_mut().enumerate() {
-            let idx = va.level_index(level);
-            *slot = self.table_addr(node) + (idx as u64 * 8);
-            if level < WALK_LEVELS - 1 {
-                let desc = self.tables[node][idx];
-                if desc.is_valid() {
-                    node = desc.frame() as usize;
-                }
-                // An invalid intermediate level still "reads" the same node
-                // repeatedly; the walk faults there, which is fine for the
-                // timing model (a faulting walk is at most as long).
-            }
-        }
-        path
-    }
-
-    fn table_addr(&self, node: usize) -> PhysAddr {
-        PhysAddr::new(TABLE_REGION_BASE + node as u64 * PAGE_SIZE)
-    }
-}
-
-impl Default for AddressSpace {
-    fn default() -> Self {
-        AddressSpace::new()
-    }
-}
-
-fn new_node() -> Box<[Descriptor; ENTRIES_PER_TABLE]> {
-    Box::new([Descriptor::default(); ENTRIES_PER_TABLE])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::addr::PAGE_SIZE;
 
     #[test]
     fn map_translate_roundtrip() {
@@ -504,15 +352,6 @@ mod tests {
     }
 
     #[test]
-    fn unmapped_addresses_fault_with_level() {
-        let s = AddressSpace::new();
-        match s.translate(VirtAddr::new(0x1234)) {
-            Err(TranslateFault::NotMapped { level: 0, .. }) => {}
-            other => panic!("expected root-level fault, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn leaf_level_fault_after_sibling_mapping() {
         let mut s = AddressSpace::new();
         s.map(
@@ -521,11 +360,9 @@ mod tests {
             PageFlags::rw(),
         )
         .unwrap();
-        // Same leaf table, different entry → walk reaches level 3 then faults.
-        match s.translate(VirtAddr::new(0x1000)) {
-            Err(TranslateFault::NotMapped { level: 3, .. }) => {}
-            other => panic!("expected leaf-level fault, got {other:?}"),
-        }
+        // The neighbouring page stays a hole.
+        let va = VirtAddr::new(0x1234);
+        assert_eq!(s.translate(va), Err(TranslateFault::NotMapped { va }));
     }
 
     #[test]
@@ -562,6 +399,27 @@ mod tests {
         assert!(s.translate(va).is_err());
         assert_eq!(s.mapped_pages(), 0);
         assert!(s.unmap(va).is_err());
+    }
+
+    #[test]
+    fn unmap_splits_an_extent() {
+        let mut s = AddressSpace::new();
+        let base = VirtAddr::new(0x10_0000);
+        s.map_range(
+            base,
+            PhysAddr::new(0x20_0000),
+            4 * PAGE_SIZE,
+            PageFlags::rw(),
+        )
+        .unwrap();
+        s.unmap(base + 2 * PAGE_SIZE).unwrap();
+        assert_eq!(s.mapped_pages(), 3);
+        assert!(s.range_mapped(0x100, 0x101));
+        assert!(!s.range_mapped(0x100, 0x102));
+        assert!(s.translate(base + 2 * PAGE_SIZE).is_err());
+        // The tail keeps its frame.
+        let tail = s.translate(base + 3 * PAGE_SIZE).unwrap();
+        assert_eq!(tail.raw(), 0x20_0000 + 3 * PAGE_SIZE);
     }
 
     #[test]
@@ -604,66 +462,22 @@ mod tests {
             let mut slow = AddressSpace::new();
             let mut frame = 0x100_0000u64;
             for _ in 0..6 {
-                // Ranges up to three leaf tables long, in a window small
-                // enough that they overlap (and fail part-way) often.
-                let first = rng.next_below(4 * ENTRIES_PER_TABLE as u64);
-                let pages = 1 + rng.next_below(3 * ENTRIES_PER_TABLE as u64);
+                // Ranges up to 1536 pages long, in a window small enough
+                // that they overlap (and fail part-way) often.
+                let first = rng.next_below(4 * 512);
+                let pages = 1 + rng.next_below(3 * 512);
                 let va = VirtAddr::new((round % 3) << 39 | first << PAGE_SHIFT);
                 let pa = PhysAddr::new(frame);
                 frame += pages * PAGE_SIZE;
                 let got = fast.map_range(va, pa, pages * PAGE_SIZE, PageFlags::rw());
                 let want = map_range_pagewise(&mut slow, va, pa, pages * PAGE_SIZE);
                 assert_eq!(got, want, "round {round}");
-                assert_eq!(fast.table_count(), slow.table_count());
                 assert_eq!(fast.mapped_pages(), slow.mapped_pages());
             }
-            for page in 0..8 * ENTRIES_PER_TABLE as u64 {
+            for page in 0..8 * 512 {
                 let va = VirtAddr::new((round % 3) << 39 | page << PAGE_SHIFT);
                 assert_eq!(fast.translate(va), slow.translate(va), "{va}");
-                assert_eq!(fast.walk_path(va), slow.walk_path(va), "{va}");
             }
         }
-    }
-
-    #[test]
-    fn walk_path_has_four_distinct_levels() {
-        let mut s = AddressSpace::new();
-        let va = VirtAddr::new(0x1234_5000);
-        s.map(va, PhysAddr::new(0x6000), PageFlags::rw()).unwrap();
-        let path = s.walk_path(va);
-        // Root read is always at the root table.
-        assert_eq!(path[0].frame_base().raw(), TABLE_REGION_BASE);
-        // Each level reads a different table node.
-        let mut frames: Vec<u64> = path.iter().map(|p| p.frame_number()).collect();
-        frames.dedup();
-        assert_eq!(frames.len(), 4, "distinct node per level");
-    }
-
-    #[test]
-    fn sparse_mappings_share_upper_levels() {
-        let mut s = AddressSpace::new();
-        s.map(
-            VirtAddr::new(0x0000),
-            PhysAddr::new(0x1000),
-            PageFlags::rw(),
-        )
-        .unwrap();
-        let t1 = s.table_count();
-        // Adjacent page shares the whole path.
-        s.map(
-            VirtAddr::new(0x1000),
-            PhysAddr::new(0x2000),
-            PageFlags::rw(),
-        )
-        .unwrap();
-        assert_eq!(s.table_count(), t1);
-        // A far-away page allocates a fresh sub-tree.
-        s.map(
-            VirtAddr::new(1 << 40),
-            PhysAddr::new(0x3000),
-            PageFlags::rw(),
-        )
-        .unwrap();
-        assert!(s.table_count() > t1);
     }
 }

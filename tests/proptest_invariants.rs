@@ -1,5 +1,8 @@
 //! Property-based tests over the core invariants of the reproduction.
 
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
 
 use maco::isa::mtq::MasterTaskQueue;
@@ -17,11 +20,9 @@ use maco::sim::SimDuration;
 use maco::vm::matlb::TileAccessPattern;
 use maco::vm::page_table::{AddressSpace, PageFlags, TranslateFault};
 use maco::vm::tlb::Tlb;
-use maco::vm::walker::PageTableWalker;
 use maco::vm::{PhysAddr, VirtAddr, PAGE_SIZE};
 
-/// First page of the window the address-space properties work in; it
-/// straddles a leaf-table boundary (512 pages) so ranges cross tables.
+/// First page of the window the address-space properties work in.
 const WINDOW_VPN: u64 = 0x1_0000 - 40;
 /// Pages in that window.
 const WINDOW_PAGES: u64 = 96;
@@ -44,6 +45,53 @@ fn random_space(ops: &[(u8, u64, u64)]) -> AddressSpace {
         };
     }
     space
+}
+
+/// Page-wise reference for [`AddressSpace`]: page → (frame, writable).
+#[derive(Default)]
+struct PagewiseSpace(BTreeMap<u64, (u64, bool)>);
+
+impl PagewiseSpace {
+    fn map(&mut self, va: VirtAddr, pa: PhysAddr, write: bool) -> Result<(), TranslateFault> {
+        match self.0.entry(va.page_number()) {
+            Entry::Occupied(_) => Err(TranslateFault::AlreadyMapped { va }),
+            Entry::Vacant(slot) => {
+                slot.insert((pa.frame_number(), write));
+                Ok(())
+            }
+        }
+    }
+
+    /// Page by page, stopping at the first mapped page.
+    fn map_range(
+        &mut self,
+        va: VirtAddr,
+        pa: PhysAddr,
+        pages: u64,
+        write: bool,
+    ) -> Result<(), TranslateFault> {
+        (0..pages).try_for_each(|i| self.map(va + i * PAGE_SIZE, pa + i * PAGE_SIZE, write))
+    }
+
+    fn unmap(&mut self, va: VirtAddr) -> Result<(), TranslateFault> {
+        match self.0.remove(&va.page_number()) {
+            Some(_) => Ok(()),
+            None => Err(TranslateFault::NotMapped { va }),
+        }
+    }
+
+    fn translate_with_flags(&self, va: VirtAddr) -> Result<(PhysAddr, PageFlags), TranslateFault> {
+        let &(frame, write) = self
+            .0
+            .get(&va.page_number())
+            .ok_or(TranslateFault::NotMapped { va })?;
+        let flags = if write {
+            PageFlags::rw()
+        } else {
+            PageFlags::ro()
+        };
+        Ok((PhysAddr::new(frame * PAGE_SIZE + va.page_offset()), flags))
+    }
 }
 
 proptest! {
@@ -116,9 +164,9 @@ proptest! {
     }
 
     /// Predictive `translate_stream` (closed-form count, one mapped-range
-    /// check) equals walking every predicted page: the same counters on
-    /// success, the same first fault otherwise, and the sTLB and walker
-    /// are left untouched.
+    /// check) equals translating every predicted page: the same counters
+    /// on success, the same first fault otherwise, and the sTLB is left
+    /// untouched.
     #[test]
     fn predictive_translation_matches_the_per_page_reference(
         ops in proptest::collection::vec((0u8..3, 0u64..WINDOW_PAGES, 1u64..40), 0..12),
@@ -134,29 +182,24 @@ proptest! {
             row_bytes,
             row_bytes + extra_stride,
         );
-        let mut reference_walker = PageTableWalker::new();
         let reference: Result<StreamTranslation, TranslateFault> = pattern
             .predicted_pages()
-            .try_fold(0u64, |pages, page| {
-                reference_walker.walk_frame(&space, page).map(|_| pages + 1)
-            })
+            .try_fold(0u64, |pages, page| space.translate(page).map(|_| pages + 1))
             .map(|pages| StreamTranslation {
                 pages,
                 matlb_hits: pages,
                 ..StreamTranslation::default()
             });
         let mut stlb = Tlb::new(64);
-        let mut walker = PageTableWalker::new();
         let mut ctx = TranslationContext {
             asid: Asid::new(1),
             space: &space,
             stlb: &mut stlb,
-            walker: &mut walker,
             prediction: true,
             walk_read_latency: SimDuration::from_ns(30),
         };
         prop_assert_eq!(ctx.translate_stream(&pattern), reference);
-        prop_assert_eq!((stlb.hits(), stlb.misses(), walker.walks()), (0, 0, 0));
+        prop_assert_eq!((stlb.hits(), stlb.misses()), (0, 0));
     }
 
     /// `range_mapped` agrees with page-by-page translation for every
@@ -181,6 +224,75 @@ proptest! {
                     all,
                     "pages {}..={}", lo, hi
                 );
+            }
+        }
+    }
+
+    /// The extent `AddressSpace` behaves exactly as a page-wise map under
+    /// random `map`, `map_range` and `unmap` sequences. Most operations
+    /// map pages to the frames of one linear layout, so neighbours
+    /// coalesce; the rest map to a fresh frame or with other flags, so
+    /// VPN-adjacent extents that must stay apart are common too. After
+    /// every operation the results (the first `AlreadyMapped` page of a
+    /// `map_range` included, with the pages before it left mapped), each
+    /// page's translation, the page count and `range_mapped` over every
+    /// sub-range of the window agree.
+    #[test]
+    fn extent_space_matches_a_pagewise_reference(
+        ops in proptest::collection::vec(
+            (0u8..3, 0u64..WINDOW_PAGES, 1u64..40, 0u8..4, 0u8..2),
+            1..16,
+        ),
+    ) {
+        let mut space = AddressSpace::new();
+        let mut reference = PagewiseSpace::default();
+        for (step, &(kind, page, len, frame_kind, write)) in ops.iter().enumerate() {
+            let write = write == 1;
+            let vpn = WINDOW_VPN + page;
+            let frame = if frame_kind == 0 {
+                0x9000_0000 + step as u64 * 64
+            } else {
+                0x10_0000 + vpn
+            };
+            let va = VirtAddr::new(vpn * PAGE_SIZE);
+            let pa = PhysAddr::new(frame * PAGE_SIZE);
+            let flags = if write { PageFlags::rw() } else { PageFlags::ro() };
+            let (got, want) = match kind {
+                0 => (
+                    space.map_range(va, pa, len * PAGE_SIZE, flags),
+                    reference.map_range(va, pa, len, write),
+                ),
+                1 => {
+                    // `map` takes any address in the page and reports it.
+                    let va = va + len * 8;
+                    (space.map(va, pa, flags), reference.map(va, pa, write))
+                }
+                _ => (space.unmap(va), reference.unmap(va)),
+            };
+            prop_assert_eq!(got, want, "step {}", step);
+            prop_assert_eq!(space.mapped_pages(), reference.0.len() as u64);
+            // A page past each end of the window, so extents reaching it
+            // count.
+            let lo_vpn = WINDOW_VPN - 1;
+            let hi_vpn = WINDOW_VPN + WINDOW_PAGES;
+            for vpn in lo_vpn..=hi_vpn {
+                let va = VirtAddr::new(vpn * PAGE_SIZE + 0x18);
+                prop_assert_eq!(
+                    space.translate_with_flags(va),
+                    reference.translate_with_flags(va),
+                    "step {}, page {:#x}", step, vpn
+                );
+            }
+            for lo in lo_vpn..=hi_vpn {
+                let mut all = true;
+                for hi in lo..=hi_vpn {
+                    all &= reference.0.contains_key(&hi);
+                    prop_assert_eq!(
+                        space.range_mapped(lo, hi),
+                        all,
+                        "step {}, pages {:#x}..={:#x}", step, lo, hi
+                    );
+                }
             }
         }
     }
