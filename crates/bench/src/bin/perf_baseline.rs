@@ -426,21 +426,36 @@ fn micro_fleet_run(requests: usize) -> (f64, u64, u64) {
     (wall, report.fingerprint, report.jobs_completed)
 }
 
+/// [`micro_fleet_run`] three times: the least wall clock, with the
+/// fingerprint and job count all three runs agree on.
+fn micro_fleet_best_of_three(requests: usize) -> (f64, u64, u64) {
+    let runs = [(); 3].map(|()| micro_fleet_run(requests));
+    let (_, fp, jobs) = runs[0];
+    assert!(
+        runs.iter().all(|&(_, f, j)| (f, j) == (fp, jobs)),
+        "repeated micro fleet runs of {requests} requests disagree"
+    );
+    let wall = runs.iter().map(|r| r.0).fold(f64::INFINITY, f64::min);
+    (wall, fp, jobs)
+}
+
 /// The event-core throughput stressor: stream 10⁵ micro requests (10⁴ in
 /// quick mode) through a 4-machine fleet. Full mode also runs the 10⁴
 /// reference and asserts near-linear wall-clock scaling in trace length —
 /// a 10× trace must cost at most ~2× its proportional share, i.e. the
 /// per-event cost of the heap-based engine core must stay flat as queues
-/// deepen. The fingerprint pins the (mode-sized) schedule under the
-/// strict gate like every other scenario.
+/// deepen. Each side of that ratio is the best of three runs, so one
+/// descheduled run cannot fail it. The fingerprint pins the (mode-sized)
+/// schedule under the strict gate like every other scenario.
 fn throughput_100k_bench(quick: bool) -> BenchResult {
     let base = 10_000usize;
-    let (base_wall, base_fp, base_jobs) = micro_fleet_run(base);
     let (requests, fp, jobs) = if quick {
-        (base, base_fp, base_jobs)
+        let (_, fp, jobs) = micro_fleet_run(base);
+        (base, fp, jobs)
     } else {
+        let (base_wall, _, _) = micro_fleet_best_of_three(base);
         let big = base * 10;
-        let (big_wall, big_fp, big_jobs) = micro_fleet_run(big);
+        let (big_wall, big_fp, big_jobs) = micro_fleet_best_of_three(big);
         let scaling = big_wall / base_wall.max(1e-9);
         assert!(
             scaling < 20.0,

@@ -28,7 +28,7 @@ use maco_mmae::engine::TASK_ISSUE_CYCLES;
 use maco_mmae::tiling::{
     block_pass_at, block_pass_count, pass_tiles, tile_count, BlockPass, PassTiles, Tile,
 };
-use maco_mmae::translate::{PassKey, StreamTranslation, TranslationContext, TranslationMemo};
+use maco_mmae::translate::{StreamTranslation, TranslationContext};
 use maco_mmae::Mmae;
 use maco_noc::fabric::{FabricConfig, MeshFabric, Route};
 use maco_noc::sfc::TileOrder;
@@ -363,11 +363,10 @@ impl MacoSystem {
     /// so `stlb.*` counts demand-mode traffic only.
     ///
     /// The `xlate.*` entries count block passes by how their translation
-    /// was obtained — computed exactly, served from a run's memo, or
-    /// transplanted by the cross-node mirror — plus the sTLB snapshots the
-    /// mirror recorded. They measure host-side work only: mirror on and
-    /// off give different counts for bit-identical results, so they are
-    /// never folded into a fingerprint.
+    /// was obtained — computed exactly or transplanted by the cross-node
+    /// mirror — plus the sTLB snapshots the mirror recorded. They measure
+    /// host-side work only: mirror on and off give different counts for
+    /// bit-identical results, so they are never folded into a fingerprint.
     pub fn stats_snapshot(&self) -> Stats {
         let mut s = Stats::new();
         let mut stlb = (0u64, 0u64);
@@ -400,7 +399,6 @@ impl MacoSystem {
                 .sum(),
         );
         s.add("xlate.passes_exact", self.passes.exact);
-        s.add("xlate.passes_memo", self.passes.memo);
         s.add("xlate.passes_mirrored", self.passes.mirrored);
         s.add("xlate.mirror_snapshots", self.passes.snapshots);
         s
@@ -755,21 +753,7 @@ impl MacoSystem {
             } else {
                 run.miss_fraction = self.unmapped_miss_fraction(&pass, run.params.elem_bytes());
             }
-            let key = PassKey::of(&pass);
-            let pass_tr = match run.memo.cached(key) {
-                Some(c) => {
-                    self.passes.memo += 1;
-                    c
-                }
-                None => {
-                    let c = self.translate_pass_mirrored(run, &pass)?;
-                    // Only a later pass of this run can read the memo.
-                    if run.pass_idx + 1 < run.pass_count {
-                        run.memo.record(key, c);
-                    }
-                    c
-                }
-            };
+            let pass_tr = self.translate_pass_mirrored(run, &pass)?;
             run.translation.merge(&pass_tr);
             run.step_stall =
                 SimDuration::from_fs(pass_tr.stall.as_fs() / run.tile_count.max(1) as u64);
@@ -1214,8 +1198,6 @@ struct PassCounters {
     /// Passes computed exactly: in closed form with prediction, replayed
     /// page by page through a node's sTLB without.
     exact: u64,
-    /// Passes served from a run's [`TranslationMemo`].
-    memo: u64,
     /// Passes transplanted from another node by the mirror.
     mirrored: u64,
     /// sTLB snapshots the mirror recorded.
@@ -1333,7 +1315,6 @@ struct GemmRun {
     translation: StreamTranslation,
     dma_bytes: u64,
     peak_gflops: f64,
-    memo: TranslationMemo,
     /// One-entry step-plan cache: the plan of the last tile class stepped.
     plan: Option<StepPlan>,
 }
@@ -1395,7 +1376,6 @@ impl GemmRun {
             translation: StreamTranslation::default(),
             dma_bytes: 0,
             peak_gflops: config.mmae.peak_gflops(params.precision),
-            memo: TranslationMemo::new(),
             plan: None,
             params_sig: mirrored.then(|| params_signature(&params)),
             params,
@@ -1761,10 +1741,9 @@ mod tests {
 
     #[test]
     fn lockstep_nodes_still_transplant_large_passes() {
-        // 2048³ FP64 is 8 passes of two shapes per node; each shape is
-        // replayed twice before the run's memo serves it. Every replayed
-        // pass is far past the break-even, so node 0 replays and records
-        // each one and the other 15 nodes transplant it.
+        // 2048³ FP64 is 8 passes per node, each far past the break-even,
+        // so node 0 replays and records every one and the other 15 nodes
+        // transplant it.
         let mut sys = MacoSystem::new(SystemConfig {
             prediction: false,
             ..small_config(16)
@@ -1774,12 +1753,11 @@ mod tests {
         let stats = sys.stats_snapshot();
         let counts = [
             "xlate.passes_exact",
-            "xlate.passes_memo",
             "xlate.passes_mirrored",
             "xlate.mirror_snapshots",
         ]
         .map(|key| stats.get(key));
-        assert_eq!(counts, [4, 64, 60, 4]);
+        assert_eq!(counts, [8, 120, 8]);
     }
 
     #[test]
@@ -1793,7 +1771,58 @@ mod tests {
         assert_eq!(stats.get("xlate.mirror_snapshots"), 0);
         assert_eq!(stats.get("xlate.passes_mirrored"), 0);
         assert_eq!(stats.get("stlb.lookups"), 0);
-        assert_eq!(stats.get("xlate.passes_exact"), 16 * 2 * 2);
+        assert_eq!(stats.get("xlate.passes_exact"), 16 * 8);
+    }
+
+    /// Runs an `m×n×k` GEMM on a fresh 1-node system and checks its
+    /// translation counters against a replay of every block pass through
+    /// [`Mmae::translate_pass`] on one fresh sTLB.
+    fn one_node_run_against_replay(
+        config: SystemConfig,
+        (m, n, k): (u64, u64, u64),
+        precision: Precision,
+    ) -> NodeReport {
+        let mut sys = MacoSystem::new(config.clone());
+        let report = sys.run_parallel_gemm(m, n, k, precision).unwrap().nodes[0];
+        let params = sys.build_params(m, n, k, precision).unwrap();
+        let mut stlb = maco_vm::tlb::Tlb::new(config.cpu.l2_tlb_entries);
+        let mut ctx = TranslationContext {
+            asid: sys.node_asid(0),
+            space: &sys.space,
+            stlb: &mut stlb,
+            prediction: config.prediction,
+            walk_read_latency: config.walk_read,
+        };
+        let engine = Mmae::new(config.mmae);
+        let mut replay = StreamTranslation::default();
+        for pass in maco_mmae::tiling::block_passes(m, n, k, &config.mmae.tiling) {
+            replay.merge(&engine.translate_pass(&params, &pass, &mut ctx).unwrap());
+        }
+        assert_eq!(report.translation, replay);
+        report
+    }
+
+    #[test]
+    fn predictive_pages_are_exact_when_passes_differ_in_page_offset() {
+        // FP16 with k = 1: each 1024-row block of A starts at a different
+        // offset within its page, so passes of one shape touch different
+        // page counts.
+        let report = one_node_run_against_replay(small_config(1), (3816, 105, 1), Precision::Fp16);
+        assert_eq!(report.translation.pages, 1_252);
+    }
+
+    #[test]
+    fn demand_counters_are_exact_for_every_pass() {
+        // A pass replayed on a warm sTLB differs from an earlier pass of
+        // its shape, and leaves the sTLB state later passes depend on.
+        let config = SystemConfig {
+            prediction: false,
+            ..small_config(1)
+        };
+        let report = one_node_run_against_replay(config, (2380, 2845, 99), Precision::Fp64);
+        let tr = report.translation;
+        assert_eq!((tr.demand_walks, tr.tlb_hits), (230_708, 221_516));
+        assert_eq!(report.elapsed.as_fs(), 18_626_168_588_128);
     }
 
     #[test]

@@ -237,7 +237,7 @@ proptest! {
         let mut scan = MacoSystem::new(config);
         let mut rng = TestRng::new(seed);
         // Two episodes, so the second starts from the translation state
-        // (sTLBs, memos, mirror) the first left behind.
+        // (sTLBs and mirror) the first left behind.
         for episode in 0..2 {
             let parallel = rng.next_below(2) == 0;
             let parts = if parallel { 1 } else { 1 + rng.next_below(nodes as u64) };

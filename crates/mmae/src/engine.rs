@@ -6,8 +6,11 @@
 //! systolic array crunches. The engine exposes:
 //!
 //! * [`Mmae::translate_pass`] — the exact translation of every tile
-//!   transfer in one block pass; the full-system simulator in `maco-core`
-//!   folds its stall into the tile-step prices.
+//!   transfer in one block pass: in closed form per tile row and column
+//!   with prediction (a tile row shares one A stream, a tile column one B
+//!   stream), replayed tile by tile through the shared TLB without. The
+//!   full-system simulator in `maco-core` folds its stall into the
+//!   tile-step prices.
 //! * [`Mmae::gemm_functional`] — the bit-faithful functional execution of
 //!   the same tiling, verified against a reference GEMM in the tests.
 
@@ -15,7 +18,7 @@ use maco_isa::params::GemmParams;
 use maco_isa::Precision;
 use maco_vm::matlb::TileAccessPattern;
 use maco_vm::page_table::TranslateFault;
-use maco_vm::VirtAddr;
+use maco_vm::{VirtAddr, PAGE_SIZE};
 
 use crate::config::MmaeConfig;
 use crate::kernels::{matmul_into, GemmOperands, GemmScratch};
@@ -56,49 +59,92 @@ impl Mmae {
     /// Exact translation of every tile transfer in one block pass —
     /// public so the full-system simulator in `maco-core` can drive the
     /// same page streams while owning the event loop. Allocation-free.
+    ///
+    /// Every tile of a tile row reads the same A stream and every tile of
+    /// a tile column the same B stream, so a predictive pass is priced in
+    /// closed form: one mapped-range check per operand block, then A
+    /// counted once per tile row, B once per tile column, and C (first
+    /// reduction pass) and Y (last) once per tile column when its rows
+    /// lie a page or more apart, once per tile otherwise. A demand pass,
+    /// or a predictive one whose operand blocks span a hole, streams
+    /// every tile's transfers through
+    /// [`TranslationContext::translate_stream`] in tile order, so a fault
+    /// is the first one in stream order.
     pub fn translate_pass(
         &self,
         params: &GemmParams,
         pass: &BlockPass,
         ctx: &mut TranslationContext<'_>,
     ) -> Result<StreamTranslation, TranslateFault> {
-        let t = &self.config.tiling;
-        let e = params.elem_bytes();
+        let (p, t, e) = (params, &self.config.tiling, params.elem_bytes());
+        // The `rows×cols` sub-block at `(row0, col0)` of the matrix at
+        // `addr` with leading dimension `ld`.
+        let block = |addr: u64, ld: u64, (row0, col0): (u64, u64), (rows, cols): (u64, u64)| {
+            let base = VirtAddr::new(addr + (row0 * ld + col0) * e);
+            TileAccessPattern::new(base, rows, cols * e, ld * e)
+        };
+        let a = |row0, rows| block(p.a_addr, p.lda, (row0, pass.k0), (rows, pass.depth));
+        let b = |col0, cols| block(p.b_addr, p.ldb, (pass.k0, col0), (pass.depth, cols));
+        let out = |addr, at, size| block(addr, p.ldc, at, size);
+        // C is read on the first reduction pass, Y written on the last.
+        let outs = [(pass.first_k, p.c_addr), (pass.last_k, p.y_addr)];
+        let outs = outs.iter().filter(|o| o.0).map(|o| o.1);
+        if ctx.prediction {
+            let mapped = |stream: TileAccessPattern| {
+                let (lo, hi) = stream.page_span();
+                ctx.space.range_mapped(lo, hi)
+            };
+            let (row0, col0, rows, cols) = (pass.row0, pass.col0, pass.rows, pass.cols);
+            if mapped(a(row0, rows))
+                && mapped(b(col0, cols))
+                && outs
+                    .clone()
+                    .all(|addr| mapped(out(addr, (row0, col0), (rows, cols))))
+            {
+                // Each tile row's first row and height, and each tile
+                // column's first column and width.
+                let row_tiles = (row0..row0 + rows)
+                    .step_by(t.ttr as usize)
+                    .map(|r| (r, (row0 + rows - r).min(t.ttr)));
+                let col_tiles = (col0..col0 + cols)
+                    .step_by(t.ttc as usize)
+                    .map(|c| (c, (col0 + cols - c).min(t.ttc)));
+                let (tile_rows, tile_cols) = (rows.div_ceil(t.ttr), cols.div_ceil(t.ttc));
+                let mut pages = 0;
+                for (r, height) in row_tiles.clone() {
+                    pages += a(r, height).distinct_page_count() * tile_cols;
+                }
+                for (c, width) in col_tiles {
+                    pages += b(c, width).distinct_page_count() * tile_rows;
+                    for addr in outs.clone() {
+                        // Rows a page or more apart share no page, so a
+                        // tile column's pages are then those of its tiles.
+                        let column = out(addr, (row0, c), (rows, width));
+                        pages += if column.row_stride - column.row_bytes >= PAGE_SIZE {
+                            column.distinct_page_count()
+                        } else {
+                            row_tiles
+                                .clone()
+                                .map(|(r, height)| out(addr, (r, c), (height, width)))
+                                .map(|tile| tile.distinct_page_count())
+                                .sum()
+                        };
+                    }
+                }
+                return Ok(StreamTranslation {
+                    pages,
+                    matlb_hits: pages,
+                    ..StreamTranslation::default()
+                });
+            }
+        }
         let mut total = StreamTranslation::default();
         for tile in pass_tiles(pass, t) {
-            // A sub-block: tile.rows rows spanning the pass's k extent.
-            let a = TileAccessPattern::new(
-                VirtAddr::new(params.a_addr + (tile.row0 * params.lda + pass.k0) * e),
-                tile.rows,
-                pass.depth * e,
-                params.lda * e,
-            );
-            total.merge(&ctx.translate_stream(&a)?);
-            // B sub-block: depth rows of the tile's columns.
-            let b = TileAccessPattern::new(
-                VirtAddr::new(params.b_addr + (pass.k0 * params.ldb + tile.col0) * e),
-                pass.depth,
-                tile.cols * e,
-                params.ldb * e,
-            );
-            total.merge(&ctx.translate_stream(&b)?);
-            if pass.first_k {
-                let c = TileAccessPattern::new(
-                    VirtAddr::new(params.c_addr + (tile.row0 * params.ldc + tile.col0) * e),
-                    tile.rows,
-                    tile.cols * e,
-                    params.ldc * e,
-                );
+            total.merge(&ctx.translate_stream(&a(tile.row0, tile.rows))?);
+            total.merge(&ctx.translate_stream(&b(tile.col0, tile.cols))?);
+            for addr in outs.clone() {
+                let c = out(addr, (tile.row0, tile.col0), (tile.rows, tile.cols));
                 total.merge(&ctx.translate_stream(&c)?);
-            }
-            if pass.last_k {
-                let y = TileAccessPattern::new(
-                    VirtAddr::new(params.y_addr + (tile.row0 * params.ldc + tile.col0) * e),
-                    tile.rows,
-                    tile.cols * e,
-                    params.ldc * e,
-                );
-                total.merge(&ctx.translate_stream(&y)?);
             }
         }
         Ok(total)

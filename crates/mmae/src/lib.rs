@@ -22,8 +22,10 @@
 //!   mATLB prediction, or demand translation through the shared TLB with
 //!   a fixed-latency page-table walk per miss, producing the stall the
 //!   Fig. 6 experiment measures.
-//! * [`engine`] — the engine facade: pass translation over the tiling and
-//!   the functional execution of a whole GEMM.
+//! * [`engine`] — the engine facade: exact pass translation over the
+//!   tiling (closed form per tile row and column with prediction, a
+//!   per-tile sTLB replay without; no pass is memoised) and the
+//!   functional execution of a whole GEMM.
 //!
 //! This crate prices nothing on its own. The one GEMM timing model is
 //! `maco_core::system::MacoSystem::price_tile_step`: it walks the same
@@ -62,4 +64,4 @@ pub use systolic::SystolicArray;
 pub use tiling::{
     block_pass_at, block_pass_count, block_passes, tile_count, tiles_in_pass, BlockPass, Tile,
 };
-pub use translate::{PassKey, StreamTranslation, TranslationContext, TranslationMemo};
+pub use translate::{StreamTranslation, TranslationContext};

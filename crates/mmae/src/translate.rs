@@ -13,15 +13,18 @@
 //! critical path and have no timing effect). Only demand translation
 //! replays the stream page by page through the TLB, translating each
 //! miss in the address space.
+//!
+//! A whole block pass goes through [`crate::Mmae::translate_pass`], which
+//! prices a predictive pass once per tile row and column and replays a
+//! demand pass tile by tile through this path; every pass is computed,
+//! none is served from a cache of earlier passes.
 
 use maco_isa::Asid;
-use maco_sim::{FxHashMap, SimDuration};
+use maco_sim::SimDuration;
 use maco_vm::addr::WALK_LEVELS;
 use maco_vm::matlb::TileAccessPattern;
 use maco_vm::page_table::{AddressSpace, TranslateFault};
 use maco_vm::tlb::{Tlb, TlbEntry};
-
-use crate::tiling::BlockPass;
 
 /// Outcome of translating one tile transfer's page stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -36,80 +39,6 @@ pub struct StreamTranslation {
     pub tlb_hits: u64,
     /// Touches that required a demand page-table walk.
     pub demand_walks: u64,
-}
-
-/// The shape of one block pass, packed into a single scalar: 42 bits each
-/// for rows/cols/depth plus the first/last reduction flags. GEMM extents
-/// are bounded far below that upstream (`GemmParams` encodes each
-/// dimension in 21 bits), so the packing is lossless for every
-/// representable pass; keying the memo this way makes a lookup a single
-/// integer hash instead of a five-field tuple walk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct PassKey(u128);
-
-impl PassKey {
-    /// Packs a pass-shape key.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any extent needs more than 42 bits (far beyond any
-    /// encodable GEMM dimension).
-    pub fn new(rows: u64, cols: u64, depth: u64, first_k: bool, last_k: bool) -> Self {
-        const LIMIT: u64 = 1 << 42;
-        assert!(
-            rows < LIMIT && cols < LIMIT && depth < LIMIT,
-            "pass extent exceeds PassKey range"
-        );
-        PassKey(
-            rows as u128
-                | ((cols as u128) << 42)
-                | ((depth as u128) << 84)
-                | ((first_k as u128) << 126)
-                | ((last_k as u128) << 127),
-        )
-    }
-
-    /// The key of a block pass.
-    pub fn of(pass: &BlockPass) -> Self {
-        PassKey::new(pass.rows, pass.cols, pass.depth, pass.first_k, pass.last_k)
-    }
-}
-
-/// How many times a pass shape is simulated exactly before the memoised
-/// counters are trusted (warm-up effects settle after the first pass).
-const WARM_PASSES: u32 = 2;
-
-/// Memoised per-pass translation cache: [`PassKey`] → (stream counters,
-/// times simulated exactly). Block passes are cyclic in steady state, so
-/// after `WARM_PASSES` (2) exact simulations of a shape the recorded
-/// counters are exact for every later occurrence.
-#[derive(Debug, Default)]
-pub struct TranslationMemo {
-    map: FxHashMap<PassKey, (StreamTranslation, u32)>,
-}
-
-impl TranslationMemo {
-    /// Creates an empty memo.
-    pub fn new() -> Self {
-        TranslationMemo::default()
-    }
-
-    /// The memoised counters for `key`, once it has been simulated exactly
-    /// `WARM_PASSES` times; `None` means the caller must simulate the
-    /// pass and [`TranslationMemo::record`] the result.
-    pub fn cached(&self, key: PassKey) -> Option<StreamTranslation> {
-        self.map
-            .get(&key)
-            .filter(|(_, seen)| *seen >= WARM_PASSES)
-            .map(|(c, _)| *c)
-    }
-
-    /// Records one exact simulation of `key`.
-    pub fn record(&mut self, key: PassKey, counters: StreamTranslation) {
-        let entry = self.map.entry(key).or_insert((counters, 0));
-        entry.0 = counters;
-        entry.1 += 1;
-    }
 }
 
 impl StreamTranslation {
@@ -355,66 +284,5 @@ mod tests {
         ctx.translate_stream(&pattern_rows(64)).unwrap();
         let tr = ctx.translate_stream(&pattern_rows(64)).unwrap();
         assert_eq!(tr.demand_walks, 64, "LRU thrash: no reuse survives");
-    }
-
-    #[test]
-    fn memo_serves_only_after_two_exact_passes() {
-        // The memo must reproduce the original semantics exactly: the
-        // first two occurrences of a shape are simulated exactly, every
-        // later occurrence is a hit on the last recorded counters.
-        let mut memo = TranslationMemo::new();
-        let key = PassKey::new(1024, 1024, 1024, true, false);
-        let mut counters = StreamTranslation {
-            pages: 7,
-            ..StreamTranslation::default()
-        };
-
-        assert_eq!(memo.cached(key), None, "first occurrence misses");
-        memo.record(key, counters);
-        assert_eq!(memo.cached(key), None, "second occurrence still misses");
-        counters.pages = 9; // warm-up pass differs from steady state
-        memo.record(key, counters);
-        assert_eq!(
-            memo.cached(key).map(|c| c.pages),
-            Some(9),
-            "third occurrence hits the *last* recorded counters"
-        );
-        // A different shape is independent.
-        let other = PassKey::new(1024, 1024, 512, false, true);
-        assert_eq!(memo.cached(other), None);
-    }
-
-    #[test]
-    fn pass_key_is_injective_over_pass_shapes() {
-        use std::collections::HashSet;
-        let mut seen = HashSet::new();
-        for rows in [1u64, 63, 64, 1024] {
-            for cols in [1u64, 64, 1000] {
-                for depth in [1u64, 512, 1024] {
-                    for flags in 0..4u8 {
-                        let key = PassKey::new(rows, cols, depth, flags & 1 != 0, flags & 2 != 0);
-                        assert!(
-                            seen.insert(key),
-                            "collision at {rows}x{cols}x{depth}/{flags}"
-                        );
-                    }
-                }
-            }
-        }
-        // The convenience constructor matches the field-wise one.
-        let pass = BlockPass {
-            ib: 0,
-            jb: 0,
-            kb: 1,
-            row0: 0,
-            col0: 0,
-            k0: 1024,
-            rows: 100,
-            cols: 200,
-            depth: 300,
-            first_k: false,
-            last_k: true,
-        };
-        assert_eq!(PassKey::of(&pass), PassKey::new(100, 200, 300, false, true));
     }
 }

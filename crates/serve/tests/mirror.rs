@@ -107,7 +107,6 @@ fn micro_serving_never_snapshots_the_stlb() {
     // One single-pass job each: every pass is replayed exactly, none is
     // worth a snapshot, so none is transplanted either.
     assert_eq!(stats.get("xlate.passes_exact"), REQUESTS as u64);
-    assert_eq!(stats.get("xlate.passes_memo"), 0);
     assert_eq!(stats.get("xlate.passes_mirrored"), 0);
     assert_eq!(stats.get("xlate.mirror_snapshots"), 0);
 }

@@ -1,7 +1,7 @@
 //! Deterministic FxHash-style hashing for simulator-internal maps.
 //!
 //! `std::collections::HashMap` defaults to SipHash with a per-process
-//! random seed. The simulator's hot maps (translation memos, mapped-region
+//! random seed. The simulator's hot maps (the translation mirror, mapped-region
 //! tables, TLB indices) hash small fixed-width keys millions of times per
 //! sweep, where SipHash costs real wall-clock and the randomized seed buys
 //! nothing: the keys are simulator-internal, never attacker-controlled.

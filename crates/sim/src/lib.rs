@@ -18,7 +18,7 @@
 //! * [`SplitMix64`] — a tiny deterministic PRNG for components that need
 //!   reproducible pseudo-randomness without pulling in `rand`.
 //! * [`FxHashMap`] — a deterministic, fast hasher for the simulator's hot
-//!   integer-keyed maps (translation memos, TLB indices).
+//!   integer-keyed maps (the translation mirror, TLB indices).
 //! * [`Timeline`] — a lightweight activity recorder used to regenerate the
 //!   paper's Fig. 5(c) GEMM⁺ overlap diagram.
 //!

@@ -14,11 +14,10 @@ use std::fmt;
 
 use crate::addr::{PhysAddr, VirtAddr, PAGE_SHIFT};
 
-/// Access permissions attached to a leaf mapping.
+/// Access permissions attached to a leaf mapping. Every mapping is
+/// readable; only write permission varies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PageFlags {
-    /// Readable.
-    pub read: bool,
     /// Writable.
     pub write: bool,
 }
@@ -26,18 +25,12 @@ pub struct PageFlags {
 impl PageFlags {
     /// Read-only mapping.
     pub const fn ro() -> Self {
-        PageFlags {
-            read: true,
-            write: false,
-        }
+        PageFlags { write: false }
     }
 
     /// Read-write mapping.
     pub const fn rw() -> Self {
-        PageFlags {
-            read: true,
-            write: true,
-        }
+        PageFlags { write: true }
     }
 }
 
