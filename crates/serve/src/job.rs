@@ -296,6 +296,14 @@ impl JobQueue {
         }
     }
 
+    /// Sizes the slab for `n` more admissions: `min(n, capacity)` slots,
+    /// since at most `capacity` jobs are queued at once. (A job that waits
+    /// while later ids come and go keeps their slots, so the slab can
+    /// still grow past that.)
+    pub(crate) fn reserve(&mut self, n: usize) {
+        self.slots.reserve(n.min(self.capacity));
+    }
+
     /// Admits a job.
     ///
     /// # Errors

@@ -9,7 +9,7 @@ use maco_telemetry::Log2Histogram;
 use crate::sched::Policy;
 
 /// Service observed by one tenant over an episode.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TenantReport {
     /// Tenant display name.
     pub name: String,

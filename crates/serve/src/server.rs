@@ -190,16 +190,18 @@ impl Server {
         self.run_jobs(trace.iter().map(JobSpec::from_request).collect())
     }
 
-    /// Runs one serving episode over `specs` (arrival-sorted internally)
-    /// until every admitted job has completed.
+    /// Runs one serving episode over `specs` until every admitted job has
+    /// completed. Jobs arrive in arrival order, equal arrivals in list
+    /// order, so the list need not be sorted: the engine's pending stream
+    /// pops `(arrival, push order)` keys, which is a stable sort's order.
     ///
     /// # Errors
     ///
     /// Propagates [`ServeError`]s from the co-simulation.
-    pub fn run_jobs(&mut self, mut specs: Vec<JobSpec>) -> Result<ServeReport, ServeError> {
-        specs.sort_by_key(|s| s.arrival);
+    pub fn run_jobs(&mut self, specs: Vec<JobSpec>) -> Result<ServeReport, ServeError> {
         self.system.reset_shared_resources();
         let mut engine = Engine::new(self.system.node_count(), &self.tenants, &self.config);
+        engine.reserve(specs.len());
         engine.set_trace(self.sink.clone(), 0);
         for spec in specs {
             engine.push(spec);
@@ -459,6 +461,18 @@ impl Engine {
     /// bit-identical whether it is on, off, or replaced mid-episode.
     pub fn set_trace(&mut self, sink: TraceSink, track: u32) {
         self.log.attach(sink, track);
+    }
+
+    /// Sizes the episode tables for `n` more pushes in one allocation each
+    /// instead of regrowing them push by push: the pending arrival keys
+    /// and specs, the job table and the lease log (one lease per job at
+    /// gang width 1), and the ready queue's slab (see [`JobQueue::reserve`]).
+    pub(crate) fn reserve(&mut self, n: usize) {
+        self.arrivals.reserve(n);
+        self.specs.reserve(n);
+        self.jobs.reserve(n);
+        self.leases.reserve(n);
+        self.queue.reserve(n);
     }
 
     /// Feeds one future arrival into the engine and returns its *ticket*:

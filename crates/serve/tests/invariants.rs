@@ -751,3 +751,101 @@ proptest! {
         serve_asserting_no_early_dispatch(nodes, config, specs);
     }
 }
+
+/// One episode of `specs` through `Server::run_jobs`: 4 nodes, 8 tenants
+/// and a queue that holds every job.
+fn serve_all(policy: Policy, specs: Vec<JobSpec>) -> ServeReport {
+    let config = ServeConfig {
+        queue_capacity: specs.len(),
+        ..ServeConfig::with_policy(policy)
+    };
+    let mut server = Server::new(small_system(4), Tenant::fleet(8), config);
+    server.run_jobs(specs).expect("episode serves")
+}
+
+/// The same episode with `specs` pushed through `Engine::push` by hand,
+/// in list order.
+fn serve_by_hand(policy: Policy, specs: Vec<JobSpec>) -> ServeReport {
+    let config = ServeConfig {
+        queue_capacity: specs.len(),
+        ..ServeConfig::with_policy(policy)
+    };
+    let mut system = small_system(4);
+    system.reset_shared_resources();
+    let mut engine = Engine::new(system.node_count(), &Tenant::fleet(8), &config);
+    for spec in specs {
+        engine.push(spec);
+    }
+    while engine.next_event().is_some() {
+        engine.advance(&mut system, None).expect("episode serves");
+    }
+    engine.finish(&system)
+}
+
+/// A fixed-seed Fisher–Yates shuffle.
+fn shuffle<T>(items: &mut [T]) {
+    let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+    for i in (1..items.len()).rev() {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        items.swap(i, (state % (i as u64 + 1)) as usize);
+    }
+}
+
+/// `run_jobs` takes its specs in any order: a shuffled micro trace with
+/// distinct arrivals serves exactly like the arrival-sorted one, down to
+/// the schedule fingerprint, every lease and every tenant's statistics.
+#[test]
+fn shuffled_specs_serve_like_sorted_specs() {
+    let trace = trace::generate(&TraceConfig::micro(3, 400));
+    let sorted: Vec<JobSpec> = trace.iter().map(JobSpec::from_request).collect();
+    assert!(
+        sorted.windows(2).all(|w| w[0].arrival < w[1].arrival),
+        "the micro trace has distinct, ascending arrivals"
+    );
+    let mut shuffled = sorted.clone();
+    shuffle(&mut shuffled);
+    assert!(!shuffled.is_sorted_by_key(|s| s.arrival));
+    for policy in Policy::ALL {
+        let want = serve_all(policy, sorted.clone());
+        let got = serve_all(policy, shuffled.clone());
+        assert_eq!(want.jobs_completed, sorted.len() as u64, "{policy:?}");
+        assert_eq!(got.fingerprint, want.fingerprint, "{policy:?}");
+        assert_eq!(got.leases, want.leases, "{policy:?}");
+        assert_eq!(got.tenants, want.tenants, "{policy:?}");
+        assert_eq!(got.makespan, want.makespan, "{policy:?}");
+    }
+}
+
+/// Equal arrivals keep their list order. A sorted list with runs of equal
+/// arrivals schedules exactly as pushing it through `Engine::push` by
+/// hand, and a shuffled copy schedules as its stable sort does. Swapping
+/// two jobs within a run changes the schedule, so the order within runs
+/// is what these fingerprints pin.
+#[test]
+fn equal_arrivals_keep_list_order() {
+    let sorted: Vec<JobSpec> = (0..24u64)
+        .map(|i| JobSpec {
+            gang_width: 1 + i as usize % 2,
+            ..JobSpec::single(
+                i as usize % 3,
+                GemmPlusTask::gemm(32 * (1 + i % 4), 64, 32 * (1 + i % 5), Precision::Fp32),
+                SimTime::ZERO + SimDuration::from_ns(500 * (i / 6)),
+            )
+        })
+        .collect();
+    let mut shuffled = sorted.clone();
+    shuffle(&mut shuffled);
+    let mut stable = shuffled.clone();
+    stable.sort_by_key(|s| s.arrival);
+    let mut swapped = sorted.clone();
+    swapped.swap(0, 1);
+    for policy in Policy::ALL {
+        let fingerprint = |specs: &[JobSpec]| serve_all(policy, specs.to_vec()).fingerprint;
+        let by_hand = |specs: &[JobSpec]| serve_by_hand(policy, specs.to_vec()).fingerprint;
+        assert_eq!(fingerprint(&sorted), by_hand(&sorted), "{policy:?}");
+        assert_eq!(fingerprint(&shuffled), by_hand(&stable), "{policy:?}");
+        assert_ne!(fingerprint(&swapped), fingerprint(&sorted), "{policy:?}");
+    }
+}
